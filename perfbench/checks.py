@@ -167,14 +167,17 @@ def provenance(seed: int, workload: str) -> dict:
     """Where and on what a result was measured."""
     root = pathlib.Path(__file__).resolve().parent.parent
     rev = dirty = None
+    # look for a repository at the checkout root only, never above it
+    env = dict(os.environ, GIT_CEILING_DIRECTORIES=str(root.parent))
     try:
         rev = subprocess.run(
-            ["git", "rev-parse", "HEAD"], cwd=root, capture_output=True, text=True, timeout=10
+            ["git", "rev-parse", "HEAD"], cwd=root, env=env, capture_output=True, text=True,
+            timeout=10,
         ).stdout.strip() or None
         if rev:
             status = subprocess.run(
                 ["git", "status", "--porcelain", "--untracked-files=no"],
-                cwd=root, capture_output=True, text=True, timeout=10,
+                cwd=root, env=env, capture_output=True, text=True, timeout=10,
             ).stdout
             dirty = bool(status.strip())
     except (OSError, subprocess.SubprocessError):
