@@ -89,8 +89,9 @@ def load_golden(workload: str, seed: int):
 
 def check_golden(golden, digests: dict) -> int:
     """Compare computed digests against the golden ones; returns how many
-    cells were checked.  Cells beyond the golden file's coverage (a faster
-    host gets further in the same time) are not checked."""
+    cells were checked.  Cells beyond the golden file's coverage are not
+    checked (a serve run on a faster host gets further down its cold
+    lists)."""
     if golden is None:
         return 0
     checked = 0

@@ -1,15 +1,14 @@
 """Regenerate the golden cell digests under ``perfbench/golden/``.
 
-    python3 perfbench/golden.py [--workload NAME ...] [--workers N]
+    python3 perfbench/golden.py [--workload NAME ...]
 
-Every cell a run of each workload can reach (with generous headroom for
-faster hosts) is solved in-process and its record digest stored -- for the
-grids once (their cold inputs do not depend on the seed), for
-``serve_mixed`` for the default and the held-out seed.  ``grid_batched``
-cells are solved by the *sequential* engine, so the golden file also pins
-the lockstep engine to it.  Only rerun
-this when a change is meant to move the science; the diff of the golden file
-then shows which cells moved.
+Every cell a run of each workload can reach is solved in-process by the
+sequential engine and its record digest stored -- for the grids once (their
+fixed cold rows do not depend on the seed), for ``serve_mixed`` (with
+generous headroom for faster hosts) for the default and the held-out seed.
+As ``grid_batched`` runs the lockstep engine, its golden file pins that
+engine to the sequential one.  Only rerun this when a change is meant to
+move the science; the diff of the golden file then shows which cells moved.
 """
 
 from __future__ import annotations
@@ -27,25 +26,22 @@ sys.path.insert(0, str(HERE))
 import checks  # noqa: E402
 import workloads  # noqa: E402
 
-#: grid matrices covered (a run on a 2-core Xeon host reaches 2-3 and 4-8)
-GOLDEN_ROWS = {"grid_cold": 8, "grid_batched": 24}
 #: cells covered of each serve cold list (a run reaches about 50)
 GOLDEN_COLD_CELLS = 150
 
 
-def grid_digests(workload: str, workers: int) -> dict:
+def grid_digests(workload: str) -> dict:
     from repro.experiments import run_experiment
 
     state = workloads.setup_grid(workload, checks.DEFAULT_SEED)
-    suite = state.suite[: GOLDEN_ROWS[workload]]
-    result = run_experiment(suite, state.formats, state.config, workers=workers)
+    result = run_experiment(state.suite, state.formats, state.config, workers=1)
     return {
         checks.cell_id(r.matrix, r.format): checks.cell_digest(dataclasses.asdict(r))
         for r in result.records
     }
 
 
-def serve_digests(seed: int, workers: int) -> dict:
+def serve_digests(seed: int) -> dict:
     from repro.experiments import run_experiment
     from repro.serve import apply_config_overrides
 
@@ -62,7 +58,7 @@ def serve_digests(seed: int, workers: int) -> dict:
                                         else {"seed": solver_seed})
         formats = sorted({f for fmts in members.values() for f in fmts})
         names = sorted(members)
-        result = run_experiment([by_name[n] for n in names], formats, config, workers=workers)
+        result = run_experiment([by_name[n] for n in names], formats, config, workers=1)
         for r in result.records:
             if r.format in members[r.matrix]:
                 cid = checks.cell_id(r.matrix, r.format, solver_seed)
@@ -73,19 +69,18 @@ def serve_digests(seed: int, workers: int) -> dict:
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--workload", nargs="+", default=list(workloads.WORKLOADS))
-    parser.add_argument("--workers", type=int, default=1)
     args = parser.parse_args()
     checks.GOLDEN_DIR.mkdir(exist_ok=True)
     for workload in args.workload:
         document = {"workload": workload, "digest_fields": list(checks.DIGEST_FIELDS)}
         if workload == "serve_mixed":
             document["seeds"] = {
-                str(seed): serve_digests(seed, args.workers)
+                str(seed): serve_digests(seed)
                 for seed in (checks.DEFAULT_SEED, checks.HELD_OUT_SEED)
             }
         else:
-            # the grids' cold inputs do not depend on the seed
-            document["cells"] = grid_digests(workload, args.workers)
+            # the grids' cold rows do not depend on the seed
+            document["cells"] = grid_digests(workload)
         print(f"{workload}: done", flush=True)
         path = checks.GOLDEN_DIR / f"{workload}.json"
         path.write_text(json.dumps(document, indent=1, sort_keys=True) + "\n")

@@ -8,11 +8,13 @@ prints, as its last line, one JSON object: ``correct``, ``attempted``,
 end-to-end ones of ``BENCHMARK.json``; with ``--trace 1`` the per-layer ones
 (a separate, fixed-work run with the layer wrappers of ``tracer.py``).
 The line before it is the run's provenance; a human summary goes to stderr.
+``--seconds`` is the length of ``serve_mixed``'s request phase; the grids'
+cold phases are fixed work, sized to 14-25 s on a 2-core Xeon host.
 
 ``setup_s`` is the time from the start of this script to the first timed
 operation: imports, input generation, rounding-table build and, for
 ``serve_mixed``, the store pre-population and replica start.  Set-up runs
-three times -- here and in two fresh ``--setup-only`` processes -- and the
+five times -- here and in four fresh ``--setup-only`` processes -- and the
 median is reported.
 """
 
@@ -31,7 +33,7 @@ import sys  # noqa: E402
 
 HERE = pathlib.Path(__file__).resolve().parent
 ROOT = HERE.parent
-SETUP_REPEATS = 3
+SETUP_REPEATS = 5
 
 
 def metric_specs(traced: bool) -> list:
@@ -86,7 +88,7 @@ def main(argv=None) -> int:
         elif args.trace:
             result = workloads.trace_grid(state)
         else:
-            result = workloads.run_grid(state, args.seconds)
+            result = workloads.run_grid(state)
     except checks.CheckFailed as exc:
         print(f"CHECK FAILED: {exc}", file=sys.stderr)
         correct = False
@@ -99,8 +101,9 @@ def main(argv=None) -> int:
     names = [m["name"] for m in specs]
     if args.trace:
         # layers a workload does not run read 0: the service's layers on the
-        # grids; on serve_mixed everything but the client-side and /metrics
-        # figures (the replica's own layers run in another process)
+        # grids; on serve_mixed the solver layers and trace.coverage (only
+        # the library replay is traced in-process; the replica's own layers
+        # run in another process)
         serve = args.workload == "serve_mixed"
         for name in names:
             if serve or name.startswith("serve."):

@@ -1,21 +1,21 @@
 """The benchmark's three workloads.
 
 The matrix suites are fixed (suite seed 0), as the paper's collections are.
-The grids' cold phases are fixed too -- default solver starting vector --
-and ``--seed`` draws only their warm lookup sequences: a lockstep batch
-costs 3-7 s depending on the starting vector and a 14-format row 6-16 s, so
-with 2-7 rows per run, seeded starting vectors spread ``cells_per_s`` over
-10 seeds by 0.32 of its median, beyond any bound the benchmark may set.
-``serve_mixed`` solves about a hundred cold cells per run, so there
-``--seed`` draws the cold cells' solver seeds as well as both request
-sequences.
+The grids' cold phases are fixed work too: the first :data:`COLD_ROWS`
+matrices of the suite with the default solver starting vector, sized to
+14-25 s on a 2-core Xeon host, so every commit solves the same cells.
+``--seed`` draws only the grids' warm lookup sequences (a lockstep batch
+costs 3-7 s depending on the starting vector and a 14-format row 6-16 s,
+so seeded starting vectors would spread ``cells_per_s`` over 10 seeds by
+0.32 of its median).  ``serve_mixed`` runs its request phase for
+``--seconds`` and solves about a hundred cold cells, so there ``--seed``
+draws the cold cells' solver seeds as well as both request sequences.
 
 ``grid_cold``
     The SuiteSparse-like ``general`` suite of Figure 1 (n 24-40) x all 14
     paper formats, solved by the sequential engine (``workers=1``) into a
-    ``LocalDirBackend`` store, matrix after matrix for ``--seconds``; then
-    the first :data:`REPLAY_ROWS` matrices are replayed fully warm and
-    looked up cell by cell.
+    ``LocalDirBackend`` store; then those matrices are replayed fully warm
+    and looked up cell by cell.
 ``grid_batched``
     Graph Laplacians (n 24-40) interleaved from the four Network-Repository
     classes x the 8 narrow formats, solved through
@@ -64,19 +64,17 @@ WORKLOADS = ("grid_cold", "grid_batched", "serve_mixed")
 RESTARTS = 25
 SUITE_SEED = 0
 GRAPH_CLASSES = ("biological", "infrastructure", "social", "miscellaneous")
-#: matrices generated per grid run (more than one run can reach)
-GRID_MATRICES = {"grid_cold": 12, "grid_batched": 48}
-#: leading matrices of the grid replayed warm and looked up cell by cell;
-#: the cold phase always completes at least these
-REPLAY_ROWS = {"grid_cold": 2, "grid_batched": 4}
-#: fixed leading matrices the traced run solves (once untraced, once traced)
-TRACE_ROWS = {"grid_cold": 2, "grid_batched": 4}
-#: warm measurements come in blocks spread over a few seconds; each figure
-#: is the median over blocks, so a short stall of a shared host moves it
-#: less than it would move one long block
+#: leading matrices of the suite a grid run solves cold, replays warm and
+#: looks up cell by cell (the traced run solves them once untraced, once
+#: traced)
+COLD_ROWS = {"grid_cold": 2, "grid_batched": 5}
+#: library warm measurements come in blocks spread over a few seconds and
+#: report the fastest call: a shared host runs a sub-millisecond store read
+#: up to 1.6x slower for seconds at a time, which moved medians by 0.24-0.36
+#: of their value over 10 runs, the fastest call by 0.07-0.22
 WARM_BLOCKS = 11
 WARM_PAUSE_S = 0.2
-REPLAYS = 3  # per block
+REPLAYS = 6  # per block
 LOOKUPS = 40  # per block
 
 SERVE_MATRICES = 4
@@ -85,7 +83,6 @@ COLD_SHARE = 0.1
 #: solver-seed overrides that mint fresh cold cells
 SERVE_SEED_OVERRIDES = 40
 OVERRIDE_RUN = 8
-WARM_BURST = 300
 
 
 def _config():
@@ -109,6 +106,11 @@ def _block_ms(blocks, q):
     return statistics.median(_ms(block, q) for block in blocks)
 
 
+def _best_ms(blocks):
+    """The fastest of all timings in ``blocks``, in ms."""
+    return 1e3 * min(min(block) for block in blocks)
+
+
 def _fresh_dir(name: str) -> pathlib.Path:
     path = TMP / f"{name}-{os.getpid()}"
     shutil.rmtree(path, ignore_errors=True)
@@ -125,7 +127,7 @@ def grid_suite(workload: str):
 
     if workload == "grid_cold":
         return get_suite(
-            "general", count=GRID_MATRICES[workload], size_range=(24, 40), seed=SUITE_SEED
+            "general", count=COLD_ROWS[workload], size_range=(24, 40), seed=SUITE_SEED
         )
     per_class = [
         get_suite(name, scale=0.01, size_range=(24, 40), seed=SUITE_SEED)
@@ -134,7 +136,7 @@ def grid_suite(workload: str):
     suite = []
     for i in range(max(map(len, per_class))):
         suite.extend(members[i] for members in per_class if i < len(members))
-    return suite[: GRID_MATRICES[workload]]
+    return suite[: COLD_ROWS[workload]]
 
 
 def grid_formats(workload: str):
@@ -173,28 +175,19 @@ class Row:
     seconds: float
 
 
-def _solve_rows(state: GridState, store, seconds=None, min_rows=0, max_rows=None):
-    """Solve matrices in suite order, until ``seconds`` (matrix granularity,
-    at least ``min_rows``) or ``max_rows`` matrices."""
+def _solve_rows(state: GridState, store):
+    """Solve the suite matrix after matrix; returns the rows and their wall."""
     from repro.experiments import run_experiment
 
     rows: list[Row] = []
     start = _perf()
     for tm in state.suite:
-        if max_rows is not None and len(rows) >= max_rows:
-            break
-        if seconds is not None and rows and len(rows) >= min_rows:
-            elapsed = _perf() - start
-            if elapsed + 0.5 * elapsed / len(rows) > seconds:
-                break
         t0 = _perf()
         result = run_experiment(
             [tm], state.formats, state.config, workers=1, store=store,
             batch_formats=state.batch,
         )
         rows.append(Row(tm, result, _perf() - t0))
-    if max_rows is not None and len(rows) < max_rows:
-        raise CheckFailed("suite ran out before the fixed number of matrices")
     return rows, _perf() - start
 
 
@@ -207,8 +200,9 @@ def _row_digests(rows) -> dict:
 
 
 def _check_rows(state: GridState, rows) -> tuple[int, int, dict]:
-    """Record and reference checks plus golden digests of solved rows;
-    returns (cells, crashed cells, digests)."""
+    """Record and reference checks plus golden digests of solved rows,
+    every one of which the golden file must cover; returns (cells, crashed
+    cells, digests)."""
     records = [r for row in rows for r in row.result.records]
     failed = check_records(records)
     check_references(
@@ -220,7 +214,10 @@ def _check_rows(state: GridState, rows) -> tuple[int, int, dict]:
         # the per-cell wall times the engine records fit in the row's wall
         if sum(r.solve_seconds for r in row.result.records) > row.seconds * 1.01 + 1e-3:
             raise CheckFailed(f"cell times of {row.matrix.name} exceed the row's wall time")
-    return len(records), failed, _row_digests(rows)
+    digests = _row_digests(rows)
+    if check_golden(load_golden(state.workload, state.seed), digests) != len(digests):
+        raise CheckFailed("the golden file does not cover every solved cell")
+    return len(records), failed, digests
 
 
 def _replay(state: GridState, store, rows, count: int) -> list:
@@ -267,33 +264,33 @@ def _lookups(state: GridState, store, rows, count: int, rng) -> list:
     return times
 
 
-def run_grid(state: GridState, seconds: float) -> dict:
+def run_grid(state: GridState) -> dict:
     from repro.experiments import ResultStore
 
     store = ResultStore(_fresh_dir(state.workload))
-    replay_rows = REPLAY_ROWS[state.workload]
-    rows, wall = _solve_rows(state, store, seconds=seconds, min_rows=replay_rows)
-    cells, failed, digests = _check_rows(state, rows)
-    golden = check_golden(load_golden(state.workload, state.seed), digests)
+    rows, wall = _solve_rows(state, store)
+    cells, failed, _ = _check_rows(state, rows)
     gc.collect()
     rng = random.Random(state.seed * 7919 + 1)
     replays, lookups = [], []
     for _ in range(WARM_BLOCKS):
-        replays.append(_replay(state, store, rows[:replay_rows], REPLAYS))
-        lookups.append(_lookups(state, store, rows[:replay_rows], LOOKUPS, rng))
+        replays.append(_replay(state, store, rows, REPLAYS))
+        lookups.append(_lookups(state, store, rows, LOOKUPS, rng))
         time.sleep(WARM_PAUSE_S)
     shutil.rmtree(store.root, ignore_errors=True)
-    cold = [r.solve_seconds for row in rows for r in row.result.records]
     return {
         "attempted": cells + WARM_BLOCKS * LOOKUPS,
         "failed": failed,
         "metrics": {
             "cells_per_s": (cells - failed) / wall,
-            "warm_replay_ms": _block_ms(replays, 50),
-            "warm_p50_ms": _block_ms(lookups, 50),
-            "cold_p50_ms": _ms(cold, 50),
+            "warm_replay_ms": _best_ms(replays),
+            "warm_cell_ms": _best_ms(lookups),
+            # the cold wall shared by the cells: the lockstep engine solves
+            # a row's formats together, so a batched cell has no latency of
+            # its own
+            "cold_cell_ms": 1e3 * wall / cells,
         },
-        "notes": {"matrices": len(rows), "cells": cells, "golden_cells": golden,
+        "notes": {"matrices": len(rows), "cells": cells, "golden_cells": cells,
                   "row_seconds": [round(row.seconds, 3) for row in rows],
                   "cold_wall_s": wall, "lookups": WARM_BLOCKS * LOOKUPS,
                   "replays": WARM_BLOCKS * REPLAYS},
@@ -301,22 +298,20 @@ def run_grid(state: GridState, seconds: float) -> dict:
 
 
 def trace_grid(state: GridState) -> dict:
-    """Fixed work solved untraced, then again traced, on fresh stores."""
+    """The cold rows solved untraced, then again traced, on fresh stores."""
     from repro.experiments import ResultStore
 
-    rows_n = TRACE_ROWS[state.workload]
-    replay_rows = min(REPLAY_ROWS[state.workload], rows_n)
     plain_store = ResultStore(_fresh_dir(state.workload + "-plain"))
-    plain_rows, plain_wall = _solve_rows(state, plain_store, max_rows=rows_n)
+    plain_rows, plain_wall = _solve_rows(state, plain_store)
     shutil.rmtree(plain_store.root, ignore_errors=True)
 
     calibration = calibrate()
     traced_store = ResultStore(_fresh_dir(state.workload + "-traced"))
     tracer = Tracer().install()
     try:
-        traced_rows, traced_wall = _solve_rows(state, traced_store, max_rows=rows_n)
+        traced_rows, traced_wall = _solve_rows(state, traced_store)
         t0 = _perf()
-        _replay(state, traced_store, traced_rows[:replay_rows], 3)
+        _replay(state, traced_store, traced_rows, 3)
         replay_wall = _perf() - t0
     finally:
         tracer.uninstall()
@@ -325,7 +320,6 @@ def trace_grid(state: GridState) -> dict:
     cells, failed, digests = _check_rows(state, traced_rows)
     if _row_digests(plain_rows) != digests:
         raise CheckFailed("traced and untraced solves differ")
-    golden = check_golden(load_golden(state.workload, state.seed), digests)
     metrics = tracer.layer_metrics()
     for key in [k for k in metrics if k.startswith("arithmetic.round.us_per_call.")]:
         if metrics[key]:
@@ -341,7 +335,7 @@ def trace_grid(state: GridState) -> dict:
         "attempted": cells,
         "failed": failed,
         "metrics": metrics,
-        "notes": {"matrices": rows_n, "golden_cells": golden, "breakdown": breakdown,
+        "notes": {"matrices": len(traced_rows), "golden_cells": cells, "breakdown": breakdown,
                   "phase_seconds": dict(tracer.inclusive)},
     }
 
@@ -633,31 +627,20 @@ def _warm_replay_serve(state: ServeState) -> list:
     return blocks
 
 
-def _warm_burst(state: ServeState, traced: bool) -> float:
-    """Wall time of a fixed sequence of warm requests from one client."""
-    from repro.serve import ServeClient
-
-    tracer = Tracer()
-    api = ServeClient(state.url, timeout=30, max_retries=0)
-    if traced:
-        api.cell = tracer.wrap(api.cell, "serve.request")
-    rng = random.Random(state.seed)
-    t0 = _perf()
-    for _ in range(WARM_BURST):
-        cell = rng.choice(state.warm)
-        api.cell(cell.matrix, cell.format, raw=True)
-    return _perf() - t0
-
-
 def run_serve(state: ServeState, seconds: float, traced: bool = False) -> dict:
     # the library replay of the pre-filled grid runs first, against the idle
     # replica's store, so it is not timed inside the clients' aftermath
     replays = _warm_replay_serve(state)
+    if traced:
+        # the replay again under the layer wrappers: the store reads and
+        # planning the replica runs for a warm request, traced in-process
+        tracer = Tracer().install()
+        try:
+            traced_replays = _warm_replay_serve(state)
+        finally:
+            tracer.uninstall()
     replies, start, wall = _serve_phase(state, seconds)
     snapshot = _server_metrics(state)
-    if traced:
-        plain = min(_warm_burst(state, False) for _ in range(2))
-        overhead = min(_warm_burst(state, True) for _ in range(2)) / plain
     stop_server(state.process)
     golden, _ = _check_serve(state, replies)
 
@@ -681,9 +664,9 @@ def run_serve(state: ServeState, seconds: float, traced: bool = False) -> dict:
     if not traced:
         result["metrics"] = {
             "cells_per_s": computed / wall,
-            "warm_replay_ms": _block_ms(replays, 50),
-            "warm_p50_ms": _block_ms(warm_blocks, 50),
-            "cold_p50_ms": _ms(cold, 50),
+            "warm_replay_ms": _best_ms(replays),
+            "warm_cell_ms": _block_ms(warm_blocks, 50),
+            "cold_cell_ms": _ms(cold, 50),
         }
         result["notes"] = notes
         return result
@@ -699,10 +682,10 @@ def run_serve(state: ServeState, seconds: float, traced: bool = False) -> dict:
         if k.startswith("serve.request_seconds{")
         and k.split("source=", 1)[1].rstrip("}") in ("store", "computed", "coalesced")
     )
-    hits, misses = counter("store.get.hit"), counter("store.get.miss")
     by_source = {s: [r.seconds for r in ok if r.source == s]
                  for s in ("store", "computed", "coalesced")}
-    metrics = {
+    metrics = tracer.layer_metrics()
+    metrics.update({
         "serve.store.p50_ms": _ms(by_source["store"], 50),
         "serve.store.p90_ms": _ms(by_source["store"], 90),
         "serve.cold.p90_ms": _ms(cold, 90),
@@ -713,10 +696,8 @@ def run_serve(state: ServeState, seconds: float, traced: bool = False) -> dict:
         "serve.coalesced_share": len(by_source["coalesced"]) / max(len(cold), 1),
         "serve.server_share": server_seconds / sum(r.seconds for r in replies),
         "serve.served_rps": len(ok) / wall,
-        "experiments.store.get.calls": hits + misses,
-        "experiments.store.get.hit_ratio": hits / max(hits + misses, 1),
-        "trace.overhead": overhead,
-    }
+        "trace.overhead": _best_ms(traced_replays) / _best_ms(replays),
+    })
     result["metrics"] = metrics
     result["notes"] = notes
     return result
