@@ -5,8 +5,8 @@ Every check raises :class:`CheckFailed`; the benchmark then reports
 
 * :func:`cell_digest` -- the digest of one run record's science (status,
   errors, restarts, matvecs, rounded-op tally), compared against the golden
-  files committed under ``perfbench/golden/``: every cell of the grids (on
-  any seed), and the serve cells of the default and the held-out seed;
+  files committed under ``perfbench/golden/``: every cell a run solves, on
+  any seed (the seed draws request and lookup sequences, not cells);
 * :func:`check_references` -- every reference solve agrees with a dense
   ``numpy.linalg.eigvalsh`` oracle (any seed);
 * :func:`check_records` -- statuses are known, evaluated cells carry finite
@@ -24,15 +24,12 @@ import os
 import pathlib
 import platform
 import subprocess
-import time
 
 import numpy as np
 
 GOLDEN_DIR = pathlib.Path(__file__).resolve().parent / "golden"
 #: seed the benchmark runs when none is given
 DEFAULT_SEED = 0
-#: seed kept out of tuning; later claims confirm on it
-HELD_OUT_SEED = 4242
 
 DIGEST_FIELDS = (
     "status",
@@ -73,18 +70,13 @@ def record_bytes(record) -> bytes:
     return json.dumps(body).encode()
 
 
-def load_golden(workload: str, seed: int):
-    """``cell id -> digest`` for this workload and seed, or ``None``.
-
-    A file holds either ``cells`` (inputs that do not depend on the seed)
-    or ``seeds`` (one table per covered seed)."""
+def load_golden(workload: str):
+    """``cell id -> digest`` for this workload, or ``None``.  The cells a
+    workload solves do not depend on the seed."""
     path = GOLDEN_DIR / f"{workload}.json"
     if not path.is_file():
         return None
-    document = json.loads(path.read_text())
-    if "cells" in document:
-        return document["cells"]
-    return document["seeds"].get(str(seed))
+    return json.loads(path.read_text())["cells"]
 
 
 def check_golden(golden, digests: dict) -> int:
@@ -151,19 +143,6 @@ def check_references(matrices, references, nev: int) -> None:
             raise CheckFailed(f"reference of {tm.name} holds a value that is no eigenvalue")
 
 
-def host_loop_ms() -> float:
-    """Median time of a fixed pure-Python loop: how fast the host ran at the
-    end of the run (shared hosts drift; compare results only alongside)."""
-    times = []
-    for _ in range(5):
-        t0 = time.perf_counter()
-        total = 0
-        for i in range(200_000):
-            total += i * i
-        times.append(time.perf_counter() - t0)
-    return 1e3 * sorted(times)[2]
-
-
 def provenance(seed: int, workload: str) -> dict:
     """Where and on what a result was measured."""
     root = pathlib.Path(__file__).resolve().parent.parent
@@ -199,13 +178,14 @@ def provenance(seed: int, workload: str) -> dict:
     from repro.arithmetic.bitkernels import extended_layout_supported
 
     return {
-        "host_loop_ms": host_loop_ms(),
         "workload": workload,
         "seed": seed,
         "git_rev": rev,
         "git_dirty": dirty,
         "src_sha256": h.hexdigest(),
-        "nproc": len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count(),
+        "nproc": os.cpu_count(),
+        # the workloads pin themselves to one CPU
+        "cpus_used": len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else None,
         "cpu_model": cpu,
         "python": platform.python_version(),
         "numpy": np.__version__,

@@ -3,9 +3,9 @@
     python3 perfbench/golden.py [--workload NAME ...]
 
 Every cell a run of each workload can reach is solved in-process by the
-sequential engine and its record digest stored -- for the grids once (their
-fixed cold rows do not depend on the seed), for ``serve_mixed`` (with
-generous headroom for faster hosts) for the default and the held-out seed.
+sequential engine and its record digest stored: the grids' fixed cold
+rows, and ``serve_mixed``'s warm cells and the heads of its cold lists
+(with generous headroom for faster hosts).  None depends on the seed.
 As ``grid_batched`` runs the lockstep engine, its golden file pins that
 engine to the sequential one.  Only rerun this when a change is meant to
 move the science; the diff of the golden file then shows which cells moved.
@@ -26,7 +26,7 @@ sys.path.insert(0, str(HERE))
 import checks  # noqa: E402
 import workloads  # noqa: E402
 
-#: cells covered of each serve cold list (a run reaches about 50)
+#: cells covered of each serve cold list (a run reaches about 30)
 GOLDEN_COLD_CELLS = 150
 
 
@@ -41,13 +41,13 @@ def grid_digests(workload: str) -> dict:
     }
 
 
-def serve_digests(seed: int) -> dict:
+def serve_digests() -> dict:
     from repro.experiments import run_experiment
     from repro.serve import apply_config_overrides
 
     suite = workloads.serve_suite()
     by_name = {tm.name: tm for tm in suite}
-    warm, cold_lists = workloads.serve_cells(seed, suite)
+    warm, cold_lists = workloads.serve_cells(suite)
     cells = warm + [c for cold in cold_lists for c in cold[:GOLDEN_COLD_CELLS]]
     groups: dict = {}
     for cell in cells:
@@ -74,12 +74,8 @@ def main() -> int:
     for workload in args.workload:
         document = {"workload": workload, "digest_fields": list(checks.DIGEST_FIELDS)}
         if workload == "serve_mixed":
-            document["seeds"] = {
-                str(seed): serve_digests(seed)
-                for seed in (checks.DEFAULT_SEED, checks.HELD_OUT_SEED)
-            }
+            document["cells"] = serve_digests()
         else:
-            # the grids' cold rows do not depend on the seed
             document["cells"] = grid_digests(workload)
         print(f"{workload}: done", flush=True)
         path = checks.GOLDEN_DIR / f"{workload}.json"

@@ -1,6 +1,6 @@
 """Benchmark entry point.
 
-    python3 perfbench/run.py --workload grid_cold --seed 0 --seconds 25 --trace 0
+    python3 perfbench/run.py --workload grid_cold --seed 0 --seconds 15 --trace 0
 
 Runs one workload (see ``workloads.py``) from the root of a checkout and
 prints, as its last line, one JSON object: ``correct``, ``attempted``,
@@ -8,14 +8,20 @@ prints, as its last line, one JSON object: ``correct``, ``attempted``,
 end-to-end ones of ``BENCHMARK.json``; with ``--trace 1`` the per-layer ones
 (a separate, fixed-work run with the layer wrappers of ``tracer.py``).
 The line before it is the run's provenance; a human summary goes to stderr.
-``--seconds`` is the length of ``serve_mixed``'s request phase; the grids'
-cold phases are fixed work, sized to 14-25 s on a 2-core Xeon host.
+``--seconds`` is the length of ``serve_mixed``'s mixed request phase; the
+grids' cold phases are fixed work, 12-25 s on a 2-core Xeon host.
+
+Every end-to-end time is reported at the nominal host speed: the workload
+probes a fixed reference workload between its timed units, and each wall
+time is rescaled by the median probe of the phase that measured it, raised
+to the metric's sensitivity (``hostspeed.py``).  The raw wall figures and the host speed of each phase
+are in the stderr notes.
 
 ``setup_s`` is the time from the start of this script to the first timed
 operation: imports, input generation, rounding-table build and, for
 ``serve_mixed``, the store pre-population and replica start.  Set-up runs
-five times -- here and in four fresh ``--setup-only`` processes -- and the
-median is reported.
+three times -- here and, after the measurement, in two fresh
+``--setup-only`` processes -- and the median is reported.
 """
 
 from __future__ import annotations
@@ -33,7 +39,7 @@ import sys  # noqa: E402
 
 HERE = pathlib.Path(__file__).resolve().parent
 ROOT = HERE.parent
-SETUP_REPEATS = 5
+SETUP_REPEATS = 3
 
 
 def metric_specs(traced: bool) -> list:
@@ -46,7 +52,7 @@ def parse_args(argv):
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--workload", required=True, choices=workloads.WORKLOADS)
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--seconds", type=float, default=25.0)
+    parser.add_argument("--seconds", type=float, default=15.0)
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
     parser.add_argument("--setup-only", action="store_true",
                         help="set up, tear down, print the set-up time (internal)")
@@ -112,6 +118,24 @@ def main(argv=None) -> int:
         setups = [setup_s] + extra_setups(args)
         metrics["setup_s"] = statistics.median(setups)
         result["notes"]["setup_runs_s"] = setups
+        if correct:
+            # each metric at the host speed of its phase; set-up at that of
+            # the whole run, as the fresh set-ups follow the measurement
+            phases = result["probes"]
+            every = [p for probes in phases.values() for p in probes]
+            result["notes"]["raw"] = dict(metrics)
+            result["notes"]["host_speed"] = {
+                phase: hostspeed.speed(probes) for phase, probes in phases.items()
+            }
+            sensitivity = result.get("sensitivity", {})
+            metrics = {
+                m["name"]: hostspeed.rescale(
+                    metrics[m["name"]], m["unit"],
+                    phases[result["phase_of"][m["name"]]] if m["name"] != "setup_s" else every,
+                    sensitivity.get(m["name"], 1.0),
+                )
+                for m in specs
+            }
     if correct:
         missing = [n for n in names if n not in metrics]
         if missing:
@@ -146,6 +170,7 @@ if __name__ == "__main__":
     sys.path.insert(0, str(ROOT / "src"))
     sys.path.insert(0, str(HERE))
     import checks  # noqa: E402
+    import hostspeed  # noqa: E402
     import workloads  # noqa: E402
 
     raise SystemExit(main())
