@@ -6,7 +6,7 @@ batched_partialschur` call must be substantially cheaper than N sequential
 :func:`repro.core.krylov_schur.partialschur` runs.  The win comes from
 amortising per-operation Python/numpy dispatch across the stacked
 ``(n_formats, n)`` axis, so it is largest in the QL-dominated regime (small
-matrix, deep restart budget) over the narrow table-served formats; wide
+matrix, deep restart budget) over the narrow one-word-kernel formats; wide
 scalar-kernel formats (posit32/takum32+) run as fallback rows and are
 deliberately excluded from the gate workload.
 
@@ -47,7 +47,7 @@ from repro.datasets import generate_graph
 from repro.experiments import tolerance_for
 from repro.sparse import laplacian_from_adjacency
 
-#: narrow table-served formats — the stacked fast path the gate protects
+#: narrow one-word-kernel formats — the stacked fast path the gate protects
 BATCH_FORMATS = (
     "bfloat16",
     "float16",

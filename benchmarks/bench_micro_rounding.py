@@ -1,19 +1,15 @@
 """Micro-benchmark: rounding throughput (values/s) per format and backend.
 
-Measures ``round_array`` throughput of the lookup-table engine
-(:mod:`repro.arithmetic.tables`) against the analytic kernels for every
-table-eligible format.  The acceptance bar for the engine is >= 3x on the
-8-bit formats, where the direct-indexed float32-pattern path applies.
-
 The *bit-kernel* section measures the integer bit-twiddling engine
-(:mod:`repro.arithmetic.bitkernels`) against the analytic vector kernels at
-64k values for every format it serves.  The acceptance bar is >= 3x on the
+(:mod:`repro.arithmetic.bitkernels`), which serves every vector rounding
+above ``scalar_cutoff`` elements, against the analytic vector kernels at 64k
+values for every format it serves.  The acceptance bar is >= 3x on the
 32-bit posit/takum formats (the paper-pipeline hot path the engine was
-built for); the CI gate (``--check``) fails if any kernel-served format
-rounds *slower* than its analytic kernel.
+built for); the CI gate (``--check``) fails if any kernel-served format —
+the 8-bit ones included — rounds *slower* than its analytic kernel.
 
 The *scalar* section measures per-scalar rounding at solver-call sizes for
-the wide (32/64-bit) formats the tables cannot serve: the old route (one
+the wide (32/64-bit) formats: the old route (one
 ``round_array_analytic`` call on a 1-element ndarray, which is what every
 scalar Givens/QL operation paid before the scalar kernels existed) against
 the new ``round_scalar`` fast path, plus the context-level scalar ``add``
@@ -52,12 +48,12 @@ if __package__ in (None, ""):
 import numpy as np
 import pytest
 
-from repro.arithmetic import get_context, get_format, table_for
+from repro.arithmetic import get_context, get_format
 
 EIGHT_BIT = ["E4M3", "E5M2", "posit8", "takum8"]
 SIXTEEN_BIT = ["float16", "bfloat16", "posit16", "takum16"]
 FORMATS = EIGHT_BIT + SIXTEEN_BIT
-#: wide formats served by the analytic scalar kernels instead of tables
+#: wide formats whose scalar kernels are measured at solver-call sizes
 WIDE_FORMATS = ["float32", "float64", "posit32", "posit64", "takum32", "takum64"]
 #: formats served by the integer bit-twiddling engine (the 64-bit tapered
 #: formats through the two-word extended kernel, benchmarked on their own
@@ -93,15 +89,15 @@ def workload(n: int = N_VALUES, seed: int = 0) -> np.ndarray:
     return values
 
 
-def _round_table(fmt, values):
-    return table_for(fmt).round_values(values)
+def _round_dispatch(fmt, values):
+    return fmt.round_array(values)
 
 
 def _round_analytic(fmt, values):
     return fmt.round_array_analytic(values)
 
 
-BACKENDS = {"table": _round_table, "analytic": _round_analytic}
+BACKENDS = {"dispatch": _round_dispatch, "analytic": _round_analytic}
 
 
 @pytest.fixture(scope="module")
@@ -114,7 +110,7 @@ def values():
 def test_rounding_throughput(benchmark, fmt_name, backend, values):
     fmt = get_format(fmt_name)
     runner = BACKENDS[backend]
-    runner(fmt, values)  # warm the table / per-format caches
+    runner(fmt, values)  # warm the per-format kernels and caches
     benchmark.extra_info["values_per_call"] = values.size
     benchmark(lambda: runner(fmt, values))
 
@@ -272,10 +268,10 @@ def run_bitkernel_report(record: dict | None = None) -> list[str]:
         )
     lines.append("")
     lines.append(
-        "dispatch: the bit kernels serve vector rounding for every format "
-        "above except the 8-bit ones, where the direct-indexed table (a "
-        "single gather) stays faster; posit64/takum64 round through the "
-        "two-word extended kernel on their longdouble workload."
+        "dispatch: the bit kernels serve every vector rounding above "
+        "scalar_cutoff elements for the formats above; posit64/takum64 "
+        "round through the two-word extended kernel on their longdouble "
+        "workload."
     )
     return lines
 
@@ -286,29 +282,7 @@ def run_report(record: dict | None = None) -> str:
         "Micro-benchmark: rounding throughput per format (values/s)",
         f"workload: {values.size} values, log-uniform magnitudes over ~29 binades",
         "",
-        f"{'format':<10s} {'table [Mval/s]':>15s} {'analytic [Mval/s]':>18s} {'speedup':>9s}",
     ]
-    for fmt_name in FORMATS:
-        fmt = get_format(fmt_name)
-        # interleave the two backends to cancel CPU frequency drift
-        table_s, analytic_s = [], []
-        for _ in range(3):
-            table_s.append(_median_throughput(lambda v: _round_table(fmt, v), values, repeats=5))
-            analytic_s.append(_median_throughput(lambda v: _round_analytic(fmt, v), values, repeats=5))
-        table_tp = float(np.median(table_s))
-        analytic_tp = float(np.median(analytic_s))
-        lines.append(
-            f"{fmt_name:<10s} {table_tp / 1e6:>15.1f} {analytic_tp / 1e6:>18.1f} "
-            f"{table_tp / analytic_tp:>8.2f}x"
-        )
-    lines.append("")
-    lines.append(
-        "default backend: table rounding for the 8-bit formats (direct "
-        "index); the 16-bit formats round through the integer bit kernels "
-        "at vector sizes (tables still serve their scalar path and "
-        "encode/decode)."
-    )
-    lines.append("")
     lines.extend(run_bitkernel_report(record))
     lines.append("")
     lines.extend(run_scalar_report())
@@ -316,13 +290,11 @@ def run_report(record: dict | None = None) -> str:
 
 
 def run_check(threshold: float = 1.0) -> int:
-    """CI gate: every format whose *rounding dispatch* uses a bit kernel
-    must round at least as fast as its analytic kernel at 64k values, and
-    the 32-bit posit/takum hot path must clear
-    :data:`BITKERNEL_TARGET_SPEEDUP`.  The 8-bit formats are reported but
-    not gated: their dispatch keeps the direct-indexed table, so their
-    kernel margins (which can be thin on noisy shared runners) guard
-    nothing.  Returns an exit code.
+    """CI gate: every format whose rounding dispatch uses a bit kernel —
+    every kernel-served format, the 8-bit ones included — must round at
+    least as fast as its analytic kernel at 64k values, and the 32-bit
+    posit/takum hot path must clear :data:`BITKERNEL_TARGET_SPEEDUP`.
+    Returns an exit code.
     """
     record: dict = {}
     lines = run_bitkernel_report(record)
@@ -332,8 +304,6 @@ def run_check(threshold: float = 1.0) -> int:
         return 0
     failed = []
     for fmt_name, row in record.items():
-        if get_format(fmt_name).bits <= 8:
-            continue  # dispatch uses the direct-indexed table, not the kernel
         if row["speedup"] < threshold:
             failed.append(f"{fmt_name}: {row['speedup']:.2f}x < {threshold:.2f}x")
     for fmt_name in BITKERNEL_TARGET_FORMATS:

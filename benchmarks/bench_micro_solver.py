@@ -60,7 +60,7 @@ def _laplacian(n: int):
         "reference",
         "bfloat16",
         "takum16",
-        # wide formats: scalar-kernel regime (no lookup tables)
+        # wide formats: 32/64-bit scalar-kernel regime
         "posit32",
         "takum32",
         "posit64",
@@ -106,7 +106,7 @@ def test_partialschur_scaling_with_krylov_dimension(benchmark, maxdim):
 # operator API (FArray/FScalar) vs explicit context calls
 # --------------------------------------------------------------------- #
 
-#: formats whose QL path the overhead gate covers: the narrow table-served
+#: formats whose QL path the overhead gate covers: the narrow (<= 16-bit)
 #: regime and the wide scalar-kernel regime (the arithmetics under study;
 #: native float64 is a cast, where per-operation Python overhead dominates
 #: any wrapper and the comparison measures the interpreter, not the API)

@@ -42,7 +42,7 @@ from repro.arithmetic import get_context
 from repro.linalg.tridiagonal import tridiagonal_eigen
 from repro.telemetry import metrics, set_enabled, trace
 
-#: formats whose QL path the overhead gate covers — the table-served narrow
+#: formats whose QL path the overhead gate covers — the narrow (<= 16-bit)
 #: regime and the scalar-kernel wide regime (same pool as the operator gate)
 OVERHEAD_FORMATS = (
     "bfloat16",

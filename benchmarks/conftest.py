@@ -113,7 +113,6 @@ def bench_metadata() -> dict:
                 "REPRO_RESTARTS",
                 "REPRO_WORKERS",
                 "PYTHONHASHSEED",
-                "REPRO_DISABLE_ROUNDING_TABLES",
                 "REPRO_DISABLE_BITKERNELS",
             )
             if key in os.environ

@@ -4,9 +4,8 @@ Arnoldi Method in OFP8, Bfloat16, Posit, and Takum Arithmetics" (SC '25).
 The package is organised as:
 
 * :mod:`repro.arithmetic` — machine-number formats (OFP8, bfloat16, posits,
-  takums, IEEE), the shared lookup-table rounding engine
-  (:mod:`repro.arithmetic.tables`) that serves every format of up to 16 bits
-  from one process-wide cache, and per-operation rounding compute contexts;
+  takums, IEEE), their scalar, integer bit-twiddling and analytic rounding
+  kernels, and per-operation rounding compute contexts;
 * :mod:`repro.sparse` — CSR/COO sparse-matrix substrate, Matrix Market and
   edge-list I/O, graph-Laplacian preparation;
 * :mod:`repro.linalg` — dense kernels (Hessenberg, real Schur, symmetric

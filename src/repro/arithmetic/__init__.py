@@ -23,21 +23,19 @@ context methods; :func:`repro.arithmetic.precision` binds a precision for a
 block of such code, and :class:`repro.arithmetic.ContextSpec` names a
 context declaratively for the runner and CLI.
 
-Three fast rounding backends serve the formats, all bit-identical to the
-analytic ground truth: the shared lookup-table engine
-(:mod:`repro.arithmetic.tables`; formats of up to 16 bits, enumerated once
-per process, cached across contexts, pre-warmed before experiment workers
-fork, direct-indexed O(1) for 8-bit widths), the integer bit-twiddling
-kernels (:mod:`repro.arithmetic.bitkernels`; one family-parameterized
-round/encode/decode engine over float64 words serving vector rounding of
-the 16/32-bit posit/takum and non-cast IEEE formats), and the pure-Python
-scalar kernels (``round_scalar_analytic``) that serve scalars and tiny
-arrays — the regime of the solvers' elementwise operations — without NumPy
-dispatch overhead; see ``docs/architecture.md`` for the full dispatch
-matrix.  The analytic vector kernels remain available as ground truth
-(``round_array_analytic`` / ``use_tables=False`` /
-``set_tables_enabled(False)`` / ``set_bitkernels_enabled(False)`` /
-``REPRO_DISABLE_ROUNDING_TABLES=1`` / ``REPRO_DISABLE_BITKERNELS=1``).
+Every rounding follows one dispatch rule, bit-identical to the analytic
+ground truth: a scalar rounds through the format's pure-Python scalar kernel
+(``round_scalar_analytic``), an array of at most ``fmt.scalar_cutoff``
+elements — the regime of the solvers' elementwise operations — through the
+same kernel element by element, a larger array through the format's integer
+bit kernel (:mod:`repro.arithmetic.bitkernels`; one family-parameterized
+round/encode/decode engine over float64 words, plus the two-word kernels of
+the extended-precision 64-bit formats), and anything else through the
+vectorised analytic kernel (``round_array_analytic``).  See
+``docs/architecture.md`` for the dispatch matrix.  The analytic kernels can
+be forced for verification with ``use_tables=False`` (per context) or
+``REPRO_DISABLE_BITKERNELS=1`` / ``set_bitkernels_enabled(False)``
+(process-wide, bit kernels only).
 """
 
 from .base import LONGDOUBLE_EXTENDED, NumberFormat, RoundingInfo
@@ -60,15 +58,6 @@ from .registry import (
     available_formats,
     formats_by_width,
     preload_tables,
-)
-from .tables import (
-    TABLE_CACHE,
-    TableCache,
-    TableSemantics,
-    ValueTable,
-    table_for,
-    tables_enabled,
-    set_enabled as set_tables_enabled,
 )
 from .context import (
     ComputeContext,
@@ -128,13 +117,6 @@ __all__ = [
     "available_formats",
     "formats_by_width",
     "preload_tables",
-    "TABLE_CACHE",
-    "TableCache",
-    "TableSemantics",
-    "ValueTable",
-    "table_for",
-    "tables_enabled",
-    "set_tables_enabled",
     "ComputeContext",
     "ContextSpec",
     "EmulatedContext",

@@ -30,39 +30,12 @@ __all__ = [
     "round_to_quantum",
     "nearest_in_table",
     "nearest_in_table_scalar",
-    "MAX_TABLE_BITS",
-    "SCALAR_CUTOFF",
-    "WIDE_SCALAR_CUTOFF",
     "LONGDOUBLE_EXTENDED",
     "require_extended_longdouble",
 ]
 
-#: widest format the lookup-table engine will enumerate (2^15 positive
-#: codes).  Lives here rather than in :mod:`repro.arithmetic.tables` so the
-#: dispatch in :meth:`NumberFormat.round_scalar` can skip the table lookup
-#: for formats that can never be table-served; re-exported by ``tables``.
-MAX_TABLE_BITS = 16
-
-#: memoised reference to repro.arithmetic.tables.table_for (set on first use;
-#: the tables module imports this one, so a top-level import would be a cycle)
-_TABLE_FOR = None
-
 #: sentinel distinguishing 'bit kernel never built' from 'ineligible (None)'
 _UNSET = object()
-
-#: arrays up to this size round element-wise in pure Python when a lookup
-#: table is available (a ``bisect`` over the table beats ~10 NumPy dispatch
-#: round-trips on tiny arrays, the regime of the solvers' scalar Givens/QL
-#: operations).  Re-exported by :mod:`repro.arithmetic.tables`.
-SCALAR_CUTOFF = 8
-
-#: arrays up to this size round element-wise through the pure-Python
-#: analytic scalar kernels (:meth:`NumberFormat.round_scalar_analytic`) for
-#: formats the table engine cannot serve (posit/takum/IEEE wider than 16
-#: bits).  The wide vector kernels pay ~25 NumPy dispatch round-trips
-#: (~35 us) regardless of size while a scalar call costs ~1.5 us, so the
-#: break-even sits near 24 elements.
-WIDE_SCALAR_CUTOFF = 24
 
 #: whether ``numpy.longdouble`` carries more significand bits than float64
 #: on this platform.  On Windows and most ARM builds longdouble *is*
@@ -280,27 +253,23 @@ class NumberFormat(ABC):
     * ``numpy.inf`` is only produced by formats that have infinities,
     * rounding is round-to-nearest with ties to the even code.
 
-    Formats of up to 16 bits that declare :meth:`table_semantics` are served
-    by the shared lookup-table engine (:mod:`repro.arithmetic.tables`) for
-    :meth:`round_array`, :meth:`encode` and :meth:`decode`; the analytic
-    implementations remain the ground truth the tables are verified against.
+    :meth:`round_array` follows one dispatch rule: arrays of at most
+    :attr:`scalar_cutoff` elements — the regime of the solvers' elementwise
+    Givens/QL operations — round element by element through the format's
+    pure-Python scalar kernel (:meth:`round_scalar_analytic`), which skips
+    the fixed NumPy dispatch cost of the vector kernels; larger arrays round
+    through the format's integer bit kernel
+    (:mod:`repro.arithmetic.bitkernels`); everything else falls through to
+    the vectorised :meth:`round_array_analytic` ground truth.  The scalar
+    and bit kernels are verified bit-identical to the ground truth by the
+    sweeps in ``tests/test_scalar_rounding.py`` and
+    ``tests/test_bitkernels.py``.
 
-    Formats the table engine cannot serve (wider than 16 bits) may declare a
-    pure-Python scalar kernel instead (:attr:`has_scalar_kernel` /
-    :meth:`round_scalar_analytic`): :meth:`round_array` then routes arrays of
-    up to :attr:`scalar_cutoff` elements — the regime of the solvers'
-    elementwise Givens/QL operations — through the scalar kernel, which
-    skips the ~25 NumPy dispatch round-trips of the vector kernels.  The
-    scalar kernels are verified bit-identical to :meth:`round_array_analytic`
-    by the sweeps in ``tests/test_scalar_rounding.py``.
-
-    Both fast backends can be bypassed for verification, from coarse to
-    fine: the ``REPRO_DISABLE_ROUNDING_TABLES=1`` environment variable and
-    :func:`repro.arithmetic.tables.set_enabled` disable the table engine
-    process-wide, and ``get_context(name, use_tables=False)`` forces one
-    context onto the analytic *vector* kernels for arrays and scalars
-    alike, bypassing the scalar kernels as well (``use_tables=True``
-    forces the tables even when globally disabled).
+    The fast kernels can be bypassed for verification:
+    ``REPRO_DISABLE_BITKERNELS=1`` (or
+    :func:`repro.arithmetic.bitkernels.set_enabled`) turns the bit kernels
+    off process-wide, and ``get_context(name, use_tables=False)`` forces one
+    context onto the analytic *vector* kernels for arrays and scalars alike.
     """
 
     #: short identifier, e.g. ``"posit16"``
@@ -314,56 +283,16 @@ class NumberFormat(ABC):
     #: whether out-of-range magnitudes saturate (tapered formats) instead of
     #: overflowing to infinity/NaN
     saturating: bool = False
-    #: whether :meth:`round_scalar_analytic` implements a fast scalar kernel
-    #: (as opposed to the default fallback through the vector kernel)
-    has_scalar_kernel: bool = False
-    #: largest array size :meth:`round_array` routes through the scalar
-    #: kernel when no lookup table serves the format; 0 disables the scalar
-    #: dispatch (formats whose vector kernel is a plain dtype cast)
-    scalar_cutoff: int = WIDE_SCALAR_CUTOFF
-    #: the same cutoff when an integer bit kernel serves the format: the
-    #: kernel's fixed dispatch cost (~20 us) undercuts the analytic vector
-    #: chain (~80 us), which moves the scalar-loop break-even down from ~24
-    #: to ~12 elements
-    bitkernel_scalar_cutoff: int = 12
-
-    # ------------------------------------------------------------------ #
-    # lookup-table backend
-    # ------------------------------------------------------------------ #
-    def table_semantics(self):
-        """Describe this format to the shared lookup-table rounding engine.
-
-        Returns a :class:`repro.arithmetic.tables.TableSemantics` for formats
-        the engine can serve, ``None`` (the default) otherwise.
-        """
-        return None
-
-    def _rounding_table(self):
-        """The active :class:`~repro.arithmetic.tables.ValueTable`, if any."""
-        # tables imports this module, so the reference is resolved lazily —
-        # but only once: this sits on the per-scalar rounding path, where a
-        # per-call ``from . import tables`` is measurable
-        global _TABLE_FOR
-        if _TABLE_FOR is None:
-            from .tables import table_for as _table_for
-
-            _TABLE_FOR = _table_for
-        return _TABLE_FOR(self)
-
-    @property
-    def table_backed(self) -> bool:
-        """Whether the lookup-table engine currently serves this format."""
-        return self._rounding_table() is not None
+    #: largest array size :meth:`round_array` rounds element by element
+    #: through :meth:`round_scalar_analytic`.  A bit-kernel call costs a
+    #: fixed ~20 us against ~1.5 us per scalar-kernel element, which puts
+    #: the break-even near 12 elements; 0 disables the element-wise path
+    #: (formats whose vector kernel is a plain dtype cast)
+    scalar_cutoff: int = 12
 
     # ------------------------------------------------------------------ #
     # integer bit-twiddling backend
     # ------------------------------------------------------------------ #
-    #: whether the bit kernel should replace the lookup-table *rounding*
-    #: path at vector sizes (set by formats whose table kernel is a
-    #: 2^15-entry searchsorted, which the integer kernel beats; the 8-bit
-    #: direct-indexed table stays faster and keeps the table path)
-    prefer_bitkernel_rounding = False
-
     def _build_bitkernel(self):
         """Construct the family's :class:`~repro.arithmetic.bitkernels.BitKernel`
         (``None`` by default: no integer kernel serves this format)."""
@@ -410,12 +339,9 @@ class NumberFormat(ABC):
         -------
         numpy.ndarray
             Work-precision values, same shape as ``codes``.  Served by the
-            lookup-table engine when it covers this format, otherwise by a
-            per-element :meth:`decode_code` loop.
+            bit kernel's codec when one exists, otherwise by a per-element
+            :meth:`decode_code` loop.
         """
-        table = self._rounding_table()
-        if table is not None:
-            return table.decode_values(codes)
         kern = self.bitkernel()
         if kern is not None and kern.supports_codec:
             return kern.decode(codes)
@@ -440,14 +366,10 @@ class NumberFormat(ABC):
         numpy.ndarray
             ``uint64`` codes, same shape as ``values``; each value is first
             rounded through :meth:`round_array`, then encoded (non-canonical
-            NaNs collapse to the canonical NaN/NaR code).
+            NaNs collapse to the canonical NaN/NaR code).  Served by the bit
+            kernel's codec when one exists, otherwise by
+            :meth:`encode_analytic`.
         """
-        table = self._rounding_table()
-        if table is not None:
-            # round through whichever backend this format prefers (the 16-bit
-            # IEEE formats keep the cheaper analytic quantum rounding), then
-            # encode the representable results through the table
-            return table.encode_representable(self.round_array(values))
         kern = self.bitkernel()
         if kern is not None and kern.supports_codec:
             return kern.encode(self.round_array(values))
@@ -455,12 +377,12 @@ class NumberFormat(ABC):
 
     @abstractmethod
     def encode_analytic(self, values) -> np.ndarray:
-        """Analytic (table-free) implementation of :meth:`encode`."""
+        """Analytic (kernel-free) implementation of :meth:`encode`."""
 
     # ------------------------------------------------------------------ #
     # value-space interface
     # ------------------------------------------------------------------ #
-    def round_array(self, values, *args, out: Optional[np.ndarray] = None) -> np.ndarray:
+    def round_array(self, values, *, out: Optional[np.ndarray] = None) -> np.ndarray:
         """Round an array of work-precision values to the nearest
         representable values of this format (returned in work precision).
 
@@ -473,78 +395,56 @@ class NumberFormat(ABC):
             result is written into; ``out`` may alias ``values``, which is
             how the contexts round operation results in place instead of
             allocating a second array per elementary op.  Returned when
-            given.  Keyword-only under the unified signature contract
-            (``docs/api.md``); a positional buffer still works through the
-            deprecation shim.
+            given.
 
-        Dispatches by (format width, array size):
-
-        * tiny arrays (the solvers' elementwise Givens/QL regime) round
-          element-wise through the scalar paths — the lookup-table
-          ``bisect`` kernel or the format's pure-Python scalar kernel;
-        * table-served formats (<= 16 bits) route through the lookup-table
-          engine whenever it prefers the size, unless the format marks
-          :attr:`prefer_bitkernel_rounding` (the 16-bit tapered formats,
-          whose 2^15-entry ``searchsorted`` loses to the integer kernel);
-        * formats with an integer bit kernel
-          (:mod:`repro.arithmetic.bitkernels`) route through it;
-        * everything else falls through to the vectorised
-          :meth:`round_array_analytic` ground truth.
+        Dispatch (see the class docstring): at most :attr:`scalar_cutoff`
+        elements round through the scalar kernel, larger arrays through
+        the bit kernel, and without a bit kernel through
+        :meth:`round_array_analytic`.
         """
-        if args:
-            from .context import _positional_out
-
-            out = _positional_out(args, out)
-        table = self._rounding_table()
         values = np.asarray(values, dtype=self.work_dtype)
         n = values.size
-        if table is not None:
-            if table.prefers_rounding(n) and not (
-                self.prefer_bitkernel_rounding
-                and n > SCALAR_CUTOFF
-                and self.bitkernel() is not None
-            ):
-                if _telemetry.ENABLED:
-                    _count_dispatch(self, "table", n)
-                return table.round_values(values, out=out)
+        if n > self.scalar_cutoff:
             kern = self.bitkernel()
-        else:
-            kern = self.bitkernel()
-            if self.has_scalar_kernel and n <= (
-                self.scalar_cutoff if kern is None else self.bitkernel_scalar_cutoff
-            ):
+            if kern is not None:
                 if _telemetry.ENABLED:
-                    _count_dispatch(self, "scalar_kernel", n)
-                return self._round_small_array(values, out=out)
-        if kern is not None:
-            if _telemetry.ENABLED:
-                _count_dispatch(self, "bitkernel", n)
-            return kern.round(values, out=out)
+                    _count_dispatch(self, "bitkernel", n)
+                return kern.round(values, out=out)
         if _telemetry.ENABLED:
-            _count_dispatch(self, "analytic", n)
+            _count_dispatch(self, "scalar_kernel" if n <= self.scalar_cutoff else "analytic", n)
+        return self.round_without_kernel(values, out=out)
+
+    def round_without_kernel(self, values, out: Optional[np.ndarray] = None) -> np.ndarray:
+        """:meth:`round_array` without the bit kernel: element by element
+        through :meth:`round_scalar_analytic` up to :attr:`scalar_cutoff`
+        elements, :meth:`round_array_analytic` above.
+
+        The bit kernels resolve the elements they cannot round (extreme
+        regimes, overflow and subnormal binades, specials) through it, so a
+        handful of such elements costs a few scalar-kernel calls instead of
+        one vector-kernel call.
+        """
+        values = np.asarray(values, dtype=self.work_dtype)
+        if values.size <= self.scalar_cutoff:
+            if out is None:
+                out = np.empty(values.shape, dtype=self.work_dtype)
+            flat = out.flat  # flatiter: assignment works for any memory layout
+            kernel = self.round_scalar_analytic
+            for i, v in enumerate(values.flat):
+                flat[i] = kernel(v)
+            return out
         res = self.round_array_analytic(values)
         if out is not None:
             out[...] = res
             return out
         return res
 
-    def _round_small_array(self, values: np.ndarray, out=None) -> np.ndarray:
-        """Round a tiny array element-wise through the scalar kernel."""
-        if out is None:
-            out = np.empty(values.shape, dtype=self.work_dtype)
-        flat = out.flat  # flatiter: assignment works for any memory layout
-        kernel = self.round_scalar_analytic
-        for i, v in enumerate(values.flat):
-            flat[i] = kernel(v)
-        return out
-
     @abstractmethod
     def round_array_analytic(self, values) -> np.ndarray:
-        """Analytic (table-free) implementation of :meth:`round_array`.
+        """Vectorised analytic rounding, the ground truth.
 
-        Kept as the bit-level ground truth that the lookup-table engine and
-        the scalar kernels are verified against; also serves large arrays of
-        formats wider than 16 bits."""
+        The scalar and bit kernels are verified bit-identical to it; it
+        also serves large arrays of the formats no bit kernel covers."""
 
     def round_scalar_analytic(self, value):
         """Scalar twin of :meth:`round_array_analytic` for one value.
@@ -560,28 +460,23 @@ class NumberFormat(ABC):
         ``numpy.longdouble`` scalar for extended-precision formats),
         bit-identical to what the vector kernel produces for the same input.
 
-        The default implementation falls back to the vector kernel; formats
-        that set :attr:`has_scalar_kernel` override it with a pure-Python
-        (``math.frexp``/``math.ldexp``) kernel that skips NumPy dispatch.
+        The default implementation falls back to the vector kernel; the
+        concrete formats override it with a pure-Python
+        (``math.frexp``/``math.ldexp`` or ``bisect``) kernel that skips
+        NumPy dispatch.
         """
         return self.round_array_analytic(
             np.asarray([value], dtype=self.work_dtype)
         )[0]
 
     def round_scalar(self, value: float) -> float:
-        """Round a single scalar without an ndarray round-trip.
+        """Round a single scalar through :meth:`round_scalar_analytic`,
+        without an ndarray round-trip.
 
-        Routes through the lookup-table scalar path when the table engine
-        serves this format, through :meth:`round_scalar_analytic` when a
-        scalar kernel exists, and falls back to the vector kernel otherwise.
         Returns a Python float (wide extended-precision formats lose the
         sub-float64 bits here; use :meth:`round_scalar_analytic` to keep the
         work precision).
         """
-        if self.bits <= MAX_TABLE_BITS:
-            table = self._rounding_table()
-            if table is not None:
-                return table.round_one(float(value))
         return float(self.round_scalar_analytic(value))
 
     def convert(self, values) -> tuple[np.ndarray, RoundingInfo]:

@@ -31,8 +31,8 @@ per-format trajectories of the lockstep solvers
 1. IEEE elementwise operations are deterministic: ``np.add`` on a stacked
    float64 row computes the same bits as the sequential scalar path's
    ``float(a) + float(b)``;
-2. the rounding backends are value-identical (table == analytic == bit
-   kernel, proven in the bit-kernel test suite), so a row may be rounded by
+2. the rounding backends are value-identical (scalar kernel == analytic ==
+   bit kernel, proven in the kernel test suites), so a row may be rounded by
    whichever backend is fastest for the stacked layout.
 
 The stacked rounder concatenates the per-row 4096-entry exponent-field
@@ -40,7 +40,7 @@ tables of the one-word integer bit kernels (:mod:`repro.arithmetic.
 bitkernels`) into one ``(n_formats * 4096)`` table indexed by
 ``row * 4096 + (word >> 52)``, so one fused vector pass rounds every row by
 its own format.  Rows the kernels cannot serve (two-word 64-bit formats,
-forced-table or analytic-verification contexts) fall back to their own
+analytic-verification contexts) fall back to their own
 context's ``round`` / ``round_scalar`` — slower, still bit-identical.
 """
 
@@ -212,6 +212,12 @@ class _RowRounder:
                     shift[sl] = kern._shift
                     bias[sl] = kern._bias
                     special[sl] = kern._special
+                    # exact zeros (exponent field 0, either sign) leave the
+                    # transform already rounded: shifting out all 64 bits
+                    # gives the single unsigned zero, 63 keeps the sign of
+                    # zero; the float64 subnormals sharing the field stay
+                    # flagged for resolution
+                    shift[i * T] = shift[i * T + T // 2] = 64 if kern.unsigned_zero else 63
             self._shift_all = shift
             self._bias_all = bias
             self._special_all = special
@@ -225,15 +231,6 @@ class _RowRounder:
                 m == _IDENTITY or (k is not None and k._has_identity)
                 for m, k in zip(modes, kernels)
             )
-            #: zero-word mask per batch row: unsigned-zero formats clear the
-            #: word, IEEE-style formats keep the signed-zero bit pattern
-            self._zero_mask = np.array(
-                [
-                    _U(0) if (k is not None and k.unsigned_zero) else _U(0xFFFFFFFFFFFFFFFF)
-                    for k in kernels
-                ],
-                dtype=_U,
-            )
             #: (rows bytes, per_row) -> precomputed flat table offsets; the
             #: same sub-batch rounds thousands of times per sweep, so the
             #: multiply+repeat is worth caching
@@ -245,9 +242,9 @@ class _RowRounder:
             return _IDENTITY, None
         if not isinstance(ctx, EmulatedContext):  # pragma: no cover - defensive
             return _FALLBACK, None
-        if ctx.use_tables is False or ctx._forced_table is not None:
-            # verification / forced-table contexts: honour the row's own
-            # backend selection through its round()/round_scalar()
+        if ctx.use_tables is False:
+            # analytic-verification contexts: honour the row's own backend
+            # selection through its round()/round_scalar()
             return _FALLBACK, None
         kern = ctx.format.bitkernel()
         if (
@@ -331,48 +328,40 @@ class _RowRounder:
                 np.copyto(acc, u, where=spec == _SPECIAL_IDENTITY)
                 mask = spec == _SPECIAL_RESOLVE
                 if mask.any():
-                    self._resolve_specials(flat, u, acc, mask, rows, per_row)
+                    self._resolve_specials(flat, acc, mask, rows, per_row)
             else:
                 # the table holds only 0/RESOLVE entries: any special needs
                 # resolution and the IDENTITY scan can be skipped
-                self._resolve_specials(flat, u, acc, spec.view(np.bool_), rows, per_row)
+                self._resolve_specials(flat, acc, spec.view(np.bool_), rows, per_row)
         flat.view(_U)[...] = acc
         if buf is not arr:
             # arr was not contiguous: the transform ran on a copy, so copy
             # the rounded values back through the float view
             arr[...] = buf
 
-    def _resolve_specials(self, flat, u, acc, mask, rows, per_row) -> None:
-        """Resolve masked elements through each row's *sequential* backend.
+    def _resolve_specials(self, flat, acc, mask, rows, per_row) -> None:
+        """Resolve masked elements through each row's format, without its
+        bit kernel.
 
-        Exact zeros — by far the most common special in solver data — are
-        peeled inline, vectorised across all rows at once (bit-identical in
-        every backend: unsigned-zero formats clear the word, IEEE-style
-        formats keep the signed-zero pattern); the remaining special-band
-        elements — subnormal, overflow and non-finite regions — are rounded
-        by the row context itself, so even NaN payload bits match what the
-        sequential engine produces (the table and kernel backends differ in
-        the NaN sign bit, and a NaN's sign can leak into finite values
-        through ``copysign``).
+        Exact zeros — by far the most common special in solver data — left
+        the transform already rounded (see the exponent-field-0 shifts set
+        up in ``__init__``) and are skipped; the remaining special-band
+        elements — subnormal, overflow and non-finite regions — are exactly
+        the ones the row's bit kernel would hand to
+        ``round_without_kernel``, so they go there directly.
         """
-        rows = np.asarray(rows, dtype=np.int64)
-        sel = np.nonzero(mask)[0]
-        vals = flat[sel]
-        nonzero = vals != 0.0
-        if not nonzero.all():
-            zsel = sel if not nonzero.any() else sel[~nonzero]
-            acc[zsel] = u[zsel] & self._zero_mask[rows[zsel // per_row]]
-            if not nonzero.any():
-                return
-            sel = sel[nonzero]
-        nzrows = rows[sel // per_row]
-        order = np.argsort(nzrows, kind="stable")
-        sel = sel[order]
-        nzrows = nzrows[order]
-        bounds = np.nonzero(np.diff(nzrows))[0] + 1
-        for segment in np.split(sel, bounds):
-            ctx = self.contexts[rows[segment[0] // per_row]]
-            acc[segment] = np.asarray(ctx.round(flat[segment])).view(_U)
+        sel = np.flatnonzero(mask)
+        sel = sel[flat[sel] != 0.0]
+        if not sel.size:
+            return
+        # each leading index owns one contiguous block of per_row elements
+        # and ``sel`` ascends, so its elements already come grouped by row
+        lead = sel // per_row
+        bounds = (np.flatnonzero(lead[1:] != lead[:-1]) + 1).tolist()
+        for start, stop in zip([0] + bounds, bounds + [sel.size]):
+            segment = sel[start:stop]
+            fmt = self.contexts[rows[lead[start]]].format
+            acc[segment] = fmt.round_without_kernel(flat[segment]).view(_U)
 
 
 class BatchedContext:

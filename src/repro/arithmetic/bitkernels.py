@@ -37,8 +37,10 @@ round-to-nearest-even entirely in integer arithmetic:
 * Binades where the representable values are **not** a uniform power-of-two
   grid — posit/takum extreme regimes, IEEE overflow and deep-subnormal
   binades, zeros, infinities and NaNs — are marked *special* in the LUT and
-  resolved by the format's preserved analytic kernel on the (rare) masked
-  elements, which keeps the fast path bit-identical by construction.
+  the (rare) masked elements are resolved without the kernel
+  (``NumberFormat.round_without_kernel``: the scalar kernel for a few
+  elements, the analytic kernel for more), which keeps the fast path
+  bit-identical by construction.
   Binades where the format grid is at least as *fine* as the work grid
   (possible when a 64-bit format degrades to float64 work precision on
   hosts without extended longdouble) are marked *identity* and copied
@@ -64,8 +66,8 @@ the builders and the exhaustive/sweep tests in ``tests/test_bitkernels.py``:
 
 Encode/decode twins are provided per family: vectorised bit-field
 construction replacing the per-element Python loops of the analytic
-encoders, and vectorised decoding used (among others) by the lookup-table
-engine to enumerate value sets at construction time.
+encoders, and vectorised decoding that also enumerates the value sets of
+the <= 16-bit analytic kernels at construction time.
 
 The engine can be disabled for verification with the environment variable
 ``REPRO_DISABLE_BITKERNELS=1`` or at runtime with :func:`set_enabled`; the
@@ -202,8 +204,10 @@ class BitKernel:
     bits:
         Storage width of the emulated format.
     resolve:
-        Callback rounding a float64 array with the format's ground-truth
-        analytic kernel; applied to the special-masked elements.
+        Callback rounding a work-dtype array bit-identically to the
+        format's analytic ground truth without this kernel
+        (``NumberFormat.round_without_kernel``); applied to the
+        special-masked elements.
     """
 
     #: family tag used in reprs and dispatch diagnostics

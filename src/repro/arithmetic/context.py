@@ -22,23 +22,21 @@ accumulation-order ablation study.
 Scalar operands bypass ndarrays entirely: the elementary operations detect
 them, compute in the work precision (Python floats for float64 contexts,
 NumPy scalars for float32/longdouble) and round through ``round_scalar`` —
-the lookup-table ``bisect`` path for narrow formats, the pure-Python
-analytic scalar kernels for wide ones.  This is the regime of the solvers'
-Givens/QL operations, where NumPy dispatch on 1-element arrays used to
-dominate wide-format wall time.
+the format's pure-Python analytic scalar kernel.  This is the regime of the
+solvers' Givens/QL operations, where NumPy dispatch on 1-element arrays used
+to dominate wall time.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import math
-import warnings
 from abc import ABC, abstractmethod
 from typing import Optional
 
 import numpy as np
 
-from .base import MAX_TABLE_BITS, NumberFormat, RoundingInfo
+from .base import NumberFormat, RoundingInfo
 from .registry import get_format
 from ..telemetry import core as _telemetry
 from ..telemetry.metrics import metrics as _metrics
@@ -53,27 +51,6 @@ def _is_scalar(x) -> bool:
     round-trips."""
     return isinstance(x, _SCALAR_TYPES) or (isinstance(x, np.ndarray) and x.ndim == 0)
 
-
-def _positional_out(args: tuple, out):
-    """Deprecation shim for the pre-format-axis keyword order.
-
-    The rounded operations used to accept the output buffer as a trailing
-    positional argument; the unified signature contract (see
-    ``docs/api.md``) makes it keyword-only — ``out=`` — so the scalar
-    convention (scalar operands return work-dtype scalars and leave ``out``
-    untouched) reads identically across native, emulated and batched
-    contexts.  Old-style positional calls still work, with a
-    :class:`DeprecationWarning`.
-    """
-    if len(args) != 1 or out is not None:
-        raise TypeError("rounded operations take a single out= buffer")
-    warnings.warn(
-        "passing the output buffer positionally is deprecated; "
-        "pass it by keyword (out=...)",
-        DeprecationWarning,
-        stacklevel=3,
-    )
-    return args[0]
 
 __all__ = [
     "ComputeContext",
@@ -105,8 +82,10 @@ class ContextSpec:
         Reduction order of the rounded kernels (``"pairwise"`` or
         ``"sequential"``).
     use_tables:
-        Lookup-table rounding-backend override (``None`` = automatic; see
-        :class:`EmulatedContext`).  Ignored by native contexts.
+        Rounding-backend override (``None`` = automatic, ``False`` = the
+        analytic ground truth; see :class:`EmulatedContext`).  The name is
+        historical and kept because it is part of every store key.  Ignored
+        by native contexts.
     count_ops:
         Whether the context tallies rounded elementary operations.
     """
@@ -168,7 +147,7 @@ class ComputeContext(ABC):
     # primitives
     # ------------------------------------------------------------------ #
     @abstractmethod
-    def round(self, values, *args, out=None):
+    def round(self, values, *, out=None):
         """Round work-precision values to the context's arithmetic.
 
         Array inputs return an ndarray of :attr:`dtype`; scalar and 0-d
@@ -176,8 +155,7 @@ class ComputeContext(ABC):
         scalars never round-trip through ndarrays.  ``asarray`` inherits
         the same convention.
 
-        ``out`` (keyword-only; positional still accepted through the
-        deprecation shim) is an optional pre-allocated array of
+        ``out`` (keyword-only) is an optional pre-allocated array of
         :attr:`dtype` the result is written into; it may alias ``values``
         and is left untouched by scalar inputs.  The elementwise operations
         exploit this to round their work-precision result in place instead
@@ -363,14 +341,14 @@ class ComputeContext(ABC):
 
         True when the vector rounding backend writes into ``out`` natively
         (hardware casts, integer bit kernels); False when it would have to
-        append a full-array copy to honour ``out`` (table ``searchsorted``
-        and analytic vector kernels), where rounding into a fresh array is
-        strictly cheaper.  Purely a performance hint: an *explicit* caller
-        ``out=`` is always honoured regardless.
+        append a full-array copy to honour ``out`` (the analytic vector
+        kernels), where rounding into a fresh array is strictly cheaper.
+        Purely a performance hint: an *explicit* caller ``out=`` is always
+        honoured regardless.
         """
         return True
 
-    def add(self, a, b, *args, out=None):
+    def add(self, a, b, *, out=None):
         """Rounded elementwise ``a + b`` (scalars stay scalars).
 
         ``out`` (keyword-only) receives the rounded result when the
@@ -381,8 +359,6 @@ class ComputeContext(ABC):
         shared by every rounded operation of every context; see
         ``docs/api.md``.
         """
-        if args:
-            out = _positional_out(args, out)
         if _is_scalar(a) and _is_scalar(b):
             return self._scalar_add(a, b)
         self._tally(np.broadcast(a, b).size)
@@ -391,10 +367,8 @@ class ComputeContext(ABC):
             return self.round(work)
         return self.round(work, out=work)
 
-    def sub(self, a, b, *args, out=None):
+    def sub(self, a, b, *, out=None):
         """Rounded elementwise ``a - b`` (scalars stay scalars)."""
-        if args:
-            out = _positional_out(args, out)
         if _is_scalar(a) and _is_scalar(b):
             return self._scalar_sub(a, b)
         self._tally(np.broadcast(a, b).size)
@@ -403,10 +377,8 @@ class ComputeContext(ABC):
             return self.round(work)
         return self.round(work, out=work)
 
-    def mul(self, a, b, *args, out=None):
+    def mul(self, a, b, *, out=None):
         """Rounded elementwise ``a * b`` (scalars stay scalars)."""
-        if args:
-            out = _positional_out(args, out)
         if _is_scalar(a) and _is_scalar(b):
             return self._scalar_mul(a, b)
         self._tally(np.broadcast(a, b).size)
@@ -415,10 +387,8 @@ class ComputeContext(ABC):
             return self.round(work)
         return self.round(work, out=work)
 
-    def div(self, a, b, *args, out=None):
+    def div(self, a, b, *, out=None):
         """Rounded elementwise ``a / b`` (scalars stay scalars)."""
-        if args:
-            out = _positional_out(args, out)
         if _is_scalar(a) and _is_scalar(b):
             return self._scalar_div(a, b)
         self._tally(np.broadcast(a, b).size)
@@ -427,10 +397,8 @@ class ComputeContext(ABC):
             return self.round(work)
         return self.round(work, out=work)
 
-    def sqrt(self, a, *args, out=None):
+    def sqrt(self, a, *, out=None):
         """Rounded elementwise square root (scalars stay scalars)."""
-        if args:
-            out = _positional_out(args, out)
         if _is_scalar(a):
             return self._scalar_sqrt(a)
         self._tally(np.size(a))
@@ -775,13 +743,11 @@ class NativeContext(ComputeContext):
         self.name = name or np.dtype(dtype).name
         self.bits = np.dtype(dtype).itemsize * 8
 
-    def round(self, values, *args, out=None):
+    def round(self, values, *, out=None):
         """Hardware dtypes round by conversion (a cast is the rounding);
         scalar inputs return dtype scalars.  ``out`` receives the converted
         values when given (no-op when it aliases an already-converted
         ``values``)."""
-        if args:
-            out = _positional_out(args, out)
         if _is_scalar(values):
             return self.dtype(values)
         arr = np.asarray(values, dtype=self.dtype)
@@ -816,11 +782,10 @@ class ReferenceContext(NativeContext):
 class EmulatedContext(ComputeContext):
     """Context that rounds every elementary result to a software format.
 
-    Formats of up to 16 bits are transparently served by the shared
-    lookup-table rounding engine (:mod:`repro.arithmetic.tables`); wider
-    formats round scalars through their pure-Python scalar kernels and
-    arrays through the analytic vector kernels (the dispatch matrix is
-    documented in ``docs/architecture.md``).
+    Scalars round through the format's pure-Python scalar kernel and arrays
+    through :meth:`~repro.arithmetic.base.NumberFormat.round_array` (scalar
+    kernel up to ``scalar_cutoff`` elements, bit kernel above; the dispatch
+    is documented in ``docs/architecture.md``).
 
     Parameters
     ----------
@@ -828,18 +793,20 @@ class EmulatedContext(ComputeContext):
         Target :class:`~repro.arithmetic.base.NumberFormat` or registry
         name.
     use_tables:
-        Rounding-backend override, the finest level of the opt-out
-        hierarchy (below ``REPRO_DISABLE_ROUNDING_TABLES`` and
-        :func:`repro.arithmetic.tables.set_enabled`):  ``None`` (default)
-        picks the fastest bit-identical backend; ``False`` forces the
-        analytic *vector* kernels for arrays and scalars alike, bypassing
-        the tables and the scalar kernels (so either fast path can be
-        verified against the ground truth); ``True`` forces the table
-        kernels even when the engine is globally disabled, and raises for
-        formats the engine cannot serve.
+        Rounding-backend override: ``None`` (default) picks the fast
+        bit-identical kernels; ``False`` forces the analytic *vector*
+        kernels for arrays and scalars alike, bypassing the scalar and bit
+        kernels (so either fast path can be verified against the ground
+        truth).  ``True`` is rejected: the lookup-table engine it used to
+        force no longer exists.
     """
 
     def __init__(self, fmt: NumberFormat | str, use_tables: Optional[bool] = None, **kwargs):
+        if use_tables is True:
+            raise ValueError(
+                "use_tables=True is not supported: there is no lookup-table "
+                "rounding engine; use None (fast kernels) or False (analytic)"
+            )
         super().__init__(**kwargs)
         if isinstance(fmt, str):
             fmt = get_format(fmt)
@@ -848,16 +815,6 @@ class EmulatedContext(ComputeContext):
         self.name = fmt.name
         self.bits = fmt.bits
         self.use_tables = use_tables
-        self._forced_table = None
-        if use_tables is True:
-            from .tables import TABLE_CACHE
-
-            self._forced_table = TABLE_CACHE.get(fmt)
-            if self._forced_table is None:
-                raise ValueError(
-                    f"use_tables=True: format {fmt.name!r} ({fmt.bits} bits) "
-                    "cannot be served by the lookup-table engine"
-                )
         self._machine_epsilon: Optional[float] = None
         self._inplace_rounding: Optional[bool] = None
 
@@ -865,38 +822,22 @@ class EmulatedContext(ComputeContext):
         """Whether this format's vector rounding writes into ``out`` natively.
 
         True when the dispatch lands on an integer bit kernel at vector
-        sizes (posit/takum 16/32, non-cast IEEE); False when it lands on the
-        table ``searchsorted``/direct-index kernels (8-bit formats, forced
-        tables) or the analytic kernels (``use_tables=False``, 64-bit
-        tapered formats), which would pay a copy to honour ``out``.  Cached:
-        the answer only depends on the context configuration (a later
-        global engine toggle may stale it, which costs at most one copy per
-        op, never correctness).
+        sizes; False for the analytic kernels (``use_tables=False``, the
+        cast IEEE formats, or bit kernels disabled), which would pay a copy
+        to honour ``out``.  Cached: a later global bit-kernel toggle may
+        stale it, which costs at most one copy per op, never correctness.
         """
         flag = self._inplace_rounding
         if flag is None:
-            fmt = self.format
-            table = fmt._rounding_table()
-            flag = (
-                self.use_tables is not False
-                and self._forced_table is None
-                and fmt.bitkernel() is not None
-                and (
-                    table is None
-                    or fmt.prefer_bitkernel_rounding
-                    or not table.semantics.prefer_table_rounding
-                )
-            )
+            flag = self.use_tables is not False and self.format.bitkernel() is not None
             self._inplace_rounding = flag
         return flag
 
-    def round(self, values, *args, out=None):
+    def round(self, values, *, out=None):
         """Round values to the format through the selected backend (scalar
         inputs return work-dtype scalars via :meth:`round_scalar`).  ``out``
         (keyword-only, may alias ``values``) receives the rounded array —
         the in-place path the elementwise operations use."""
-        if args:
-            out = _positional_out(args, out)
         if _is_scalar(values):
             return self.round_scalar(values)
         values = np.asarray(values, dtype=self.dtype)
@@ -906,34 +847,23 @@ class EmulatedContext(ComputeContext):
                 out[...] = res
                 return out
             return res
-        if self._forced_table is not None:
-            return self._forced_table.round_values(values, out=out)
         return self.format.round_array(values, out=out)
 
     def round_scalar(self, value):
         """Round one scalar to the format without an ndarray round-trip.
 
-        Honours the same backend selection as :meth:`round`:
-        ``use_tables=False`` forces the analytic scalar kernel,
-        ``use_tables=True`` the forced table's scalar path, and the default
-        picks the table engine when it serves the format, then the format's
-        scalar kernel, then the vector fallback.  Returns a work-dtype
-        scalar (``longdouble`` formats keep their extended precision).
+        The format's scalar kernel serves it; ``use_tables=False`` forces
+        the vector analytic kernel instead.  Returns a work-dtype scalar
+        (``longdouble`` formats keep their extended precision).
         """
-        fmt = self.format
         if self.use_tables is False:
             # verification mode: force the vector analytic ground truth,
-            # bypassing the scalar kernels as well as the tables (so a
-            # suspect fast path can actually be isolated)
-            return fmt.round_array_analytic(np.asarray([value], dtype=self.dtype))[0]
-        table = self._forced_table
-        if table is None and fmt.bits <= MAX_TABLE_BITS:
-            table = fmt._rounding_table()
-        if table is not None:
-            return self.dtype(table.round_one(float(value)))
-        if fmt.has_scalar_kernel:
-            return self.dtype(fmt.round_scalar_analytic(value))
-        return fmt.round_array(np.asarray([value], dtype=self.dtype))[0]
+            # bypassing the scalar kernels (so a suspect fast path can
+            # actually be isolated)
+            return self.format.round_array_analytic(
+                np.asarray([value], dtype=self.dtype)
+            )[0]
+        return self.dtype(self.format.round_scalar_analytic(value))
 
     @property
     def machine_epsilon(self) -> float:
@@ -951,9 +881,8 @@ def get_context(name: str | ContextSpec, use_tables: Optional[bool] = None, **kw
     ``float32`` and ``float64`` use hardware arithmetic; ``reference`` (also
     accepted as ``float128`` or ``longdouble``) uses the extended-precision
     reference; every other registered format is emulated.  ``use_tables``
-    controls the lookup-table rounding backend of emulated contexts
-    (``None`` picks the table engine whenever the format is eligible;
-    ``False`` forces the analytic kernels for verification).
+    selects the rounding backend of emulated contexts (``None`` picks the
+    fast kernels; ``False`` forces the analytic kernels for verification).
 
     A :class:`ContextSpec` bundles the format name with the evaluation
     options; it cannot be combined with loose keyword arguments.

@@ -22,6 +22,8 @@ from .bitkernels import IEEEBitKernel
 
 __all__ = ["IEEEFormat", "FLOAT16", "BFLOAT16", "FLOAT32", "FLOAT64"]
 
+_FLOAT32_MAX = float(np.finfo(np.float32).max)
+
 
 class IEEEFormat(NumberFormat):
     """Parametric IEEE-754 binary format with ``ebits`` exponent bits and
@@ -38,7 +40,6 @@ class IEEEFormat(NumberFormat):
     has_infinity = True
     saturating = False
     work_dtype = np.float64
-    has_scalar_kernel = True
 
     def __init__(self, ebits: int, mbits: int, name: str):
         if ebits < 2 or mbits < 1:
@@ -96,39 +97,10 @@ class IEEEFormat(NumberFormat):
         float32/float64 round via a single hardware cast, which no integer
         kernel can beat; every other width (float16, bfloat16, E5M2) gets
         the LUT-driven RNE kernel with overflow and deep-subnormal binades
-        resolved through :meth:`round_array_analytic`."""
+        resolved through :meth:`round_without_kernel`."""
         if self._cast_dtype is not None:
             return None
-        return IEEEBitKernel(self.ebits, self.mbits, self.round_array_analytic)
-
-    def table_semantics(self):
-        """IEEE semantics for the shared lookup-table rounding engine.
-
-        IEEE formats above 8 bits keep their analytic quantum rounding (a
-        handful of vector ops, measurably cheaper than a 2^15-entry
-        ``searchsorted``) and use the tables for vectorised encode/decode;
-        the 8-bit E5M2 gets the direct-indexed rounding path.
-        """
-        from .tables import DIRECT_INDEX_BITS, TableSemantics
-
-        inf_code = ((1 << self.ebits) - 1) << self.mbits
-        # round-to-nearest overflows to infinity from half an ulp (of the top
-        # binade) past the largest finite value; the threshold itself is a
-        # tie whose even neighbour is the next power of two, i.e. infinity
-        quantum_top = math.ldexp(1.0, self.emax - self.mbits)
-        return TableSemantics(
-            negation="sign_bit",
-            unsigned_zero=False,
-            underflow_to_min=False,
-            overflow_action="inf",
-            overflow_threshold=self._max_value + quantum_top / 2.0,
-            overflow_strict=False,
-            inf_result="inf",
-            nan_code=(1 << (self.bits - 1)) | inf_code | (1 << (self.mbits - 1)),
-            pos_inf_code=inf_code,
-            neg_inf_code=(1 << (self.bits - 1)) | inf_code,
-            prefer_table_rounding=self.bits <= DIRECT_INDEX_BITS,
-        )
+        return IEEEBitKernel(self.ebits, self.mbits, self.round_without_kernel)
 
     def encode_analytic(self, values) -> np.ndarray:
         """Analytic (table-free) encode: round through the analytic kernel,
@@ -194,22 +166,11 @@ class IEEEFormat(NumberFormat):
         if self._cast_dtype is np.float64:
             return v
         if self._cast_dtype is not None:
-            return float(np.float32(v))
+            if abs(v) <= _FLOAT32_MAX:  # cannot overflow: skip the errstate cost
+                return float(np.float32(v))
+            with np.errstate(over="ignore"):  # overflow to inf is the rounding
+                return float(np.float32(v))
         return self._round_scalar_quantum(v)
-
-    def round_scalar(self, value: float) -> float:
-        """Scalar rounding without table lookup for the cast formats.
-
-        ``float64`` values round to themselves and ``float32`` needs one
-        hardware cast, so those formats skip the generic table/kernel
-        dispatch of :meth:`NumberFormat.round_scalar` entirely — this is
-        the hottest scalar path of the native-width solver runs.
-        """
-        if self._cast_dtype is np.float64:
-            return float(value)
-        if self._cast_dtype is not None:
-            return float(np.float32(value))
-        return super().round_scalar(value)
 
     def _round_scalar_quantum(self, v: float) -> float:
         """Pure-Python quantum rounding of one float (non-cast widths)."""
@@ -236,7 +197,8 @@ class IEEEFormat(NumberFormat):
         if self.ebits == 11 and self.mbits == 52:
             return x.astype(np.float64)
         if self.ebits == 8 and self.mbits == 23:
-            return x.astype(np.float32).astype(self.work_dtype)
+            with np.errstate(over="ignore"):  # overflow to inf is the rounding
+                return x.astype(np.float32).astype(self.work_dtype)
         out = np.array(x, dtype=self.work_dtype, copy=True)
         finite = np.isfinite(x)
         if not finite.any():

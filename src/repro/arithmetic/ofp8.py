@@ -21,7 +21,7 @@ import math
 
 import numpy as np
 
-from .base import SCALAR_CUTOFF, NumberFormat, nearest_in_table, nearest_in_table_scalar
+from .base import NumberFormat, nearest_in_table, nearest_in_table_scalar
 from .bitkernels import E4M3BitKernel
 from .ieee import IEEEFormat
 
@@ -43,10 +43,6 @@ class OFP8E4M3(NumberFormat):
     bits = 8
     has_infinity = False
     work_dtype = np.float64
-    has_scalar_kernel = True
-    # the analytic vector kernel is itself a searchsorted over the value
-    # table, so the scalar bisect only wins in the table-engine cutoff regime
-    scalar_cutoff = SCALAR_CUTOFF
 
     #: magnitude beyond which round-to-nearest can no longer return 448
     _overflow_threshold = 464.0
@@ -74,31 +70,9 @@ class OFP8E4M3(NumberFormat):
     def _build_bitkernel(self):
         """Integer bit-twiddling kernel; the top binade (overflow-to-NaN or
         saturation policy) and deep subnormals resolve through
-        :meth:`round_array_analytic`, so both overflow variants share one
+        :meth:`round_without_kernel`, so both overflow variants share one
         kernel construction."""
-        return E4M3BitKernel(self.round_array_analytic)
-
-    def table_semantics(self):
-        """E4M3 semantics for the shared lookup-table rounding engine."""
-        from .tables import TableSemantics
-
-        if self.saturate:
-            return TableSemantics(
-                negation="sign_bit",
-                overflow_action="saturate",
-                inf_result="max",
-                nan_code=0x7F,
-                signed_zero_code=False,
-            )
-        return TableSemantics(
-            negation="sign_bit",
-            overflow_action="nan",
-            overflow_threshold=self._overflow_threshold,
-            overflow_strict=True,
-            inf_result="nan",
-            nan_code=0x7F,
-            signed_zero_code=False,
-        )
+        return E4M3BitKernel(self.round_without_kernel)
 
     # ------------------------------------------------------------------ #
     def decode_code(self, code: int) -> float:

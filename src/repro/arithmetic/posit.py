@@ -27,8 +27,6 @@ import numpy as np
 
 from . import base as _base
 from .base import (
-    SCALAR_CUTOFF,
-    WIDE_SCALAR_CUTOFF,
     NumberFormat,
     nearest_in_table,
     nearest_in_table_scalar,
@@ -58,7 +56,6 @@ class PositFormat(NumberFormat):
 
     saturating = True
     has_infinity = False
-    has_scalar_kernel = True
 
     def __init__(self, nbits: int, es: int = 2, name: str | None = None):
         if nbits < 3:
@@ -77,10 +74,6 @@ class PositFormat(NumberFormat):
         self.work_dtype = (
             np.longdouble if nbits > 32 and _base.LONGDOUBLE_EXTENDED else np.float64
         )
-        # the 16-bit table kernel is a 2^15-entry searchsorted, which the
-        # integer bit kernel beats at vector sizes (8-bit posits keep the
-        # direct-indexed table, a single gather)
-        self.prefer_bitkernel_rounding = 8 < nbits <= 16
         self._useed_exp = 1 << self.es  # exponent scale per regime step
         max_k = self.bits - 2
         self._max_exp = self._useed_exp * max_k
@@ -93,15 +86,11 @@ class PositFormat(NumberFormat):
         self._lo_table: tuple[np.ndarray, np.ndarray] | None = None
         self._hi_table: tuple[np.ndarray, np.ndarray] | None = None
         self._scalar_state: tuple | None = None
-        # the longdouble kernel pays NumPy scalar dispatch (~4 us/element),
-        # which moves its break-even against the vector kernel down to ~8
-        self.scalar_cutoff = (
-            WIDE_SCALAR_CUTOFF if self.work_dtype is np.float64 else SCALAR_CUTOFF
-        )
         if self.work_dtype is np.longdouble:
-            # the two-word bitkernel's fixed cost (~12 us) is below two
-            # longdouble scalar roundings, so hand off almost immediately
-            self.bitkernel_scalar_cutoff = 2
+            # the longdouble scalar kernel pays NumPy scalar dispatch
+            # (~4 us/element) while the two-word bit kernel's fixed cost
+            # (~12 us) is below two of those, so hand off almost immediately
+            self.scalar_cutoff = 2
 
     # ------------------------------------------------------------------ #
     # bit-level
@@ -146,28 +135,13 @@ class PositFormat(NumberFormat):
         float64-work widths, the two-word extended kernel for the 64-bit
         format on 80-bit-longdouble hosts (``None`` on other longdouble
         layouts).  The extreme-regime binades resolve through
-        :meth:`round_array_analytic`, so either kernel is bit-identical to
-        the analytic ground truth."""
+        :meth:`round_without_kernel` (the scalar or analytic kernels), so
+        either kernel is bit-identical to the analytic ground truth."""
         if np.dtype(self.work_dtype) == np.dtype(np.float64):
-            return PositBitKernel(self.bits, self.es, self.round_array_analytic)
+            return PositBitKernel(self.bits, self.es, self.round_without_kernel)
         if extended_layout_supported():
-            return PositExtendedBitKernel(
-                self.bits, self.es, self.round_array_analytic
-            )
+            return PositExtendedBitKernel(self.bits, self.es, self.round_without_kernel)
         return None
-
-    def table_semantics(self):
-        """Posit semantics for the shared lookup-table rounding engine."""
-        from .tables import TableSemantics
-
-        return TableSemantics(
-            negation="twos_complement",
-            unsigned_zero=True,
-            underflow_to_min=True,
-            overflow_action="saturate",
-            inf_result="nan",
-            nan_code=1 << (self.bits - 1),
-        )
 
     def encode_analytic(self, values) -> np.ndarray:
         """Analytic (table-free) encode: round through the analytic kernel,
@@ -233,12 +207,11 @@ class PositFormat(NumberFormat):
     def _ensure_tables(self) -> None:
         if self._full_table:
             if self._magnitudes is None:
-                mags, codes = [], []
-                for code in range(1, 1 << (self.bits - 1)):
-                    mags.append(float(self.decode_code(code)))
-                    codes.append(code)
-                mags = np.asarray([0.0] + mags, dtype=np.float64)
-                codes = np.asarray([0] + codes, dtype=np.int64)
+                # the non-negative codes, decoded through the bit kernel's
+                # codec when one exists (verified code for code against
+                # decode_code)
+                codes = np.arange(1 << (self.bits - 1), dtype=np.int64)
+                mags = np.asarray(self.decode(codes), dtype=np.float64)
                 order = np.argsort(mags)
                 self._magnitudes = mags[order]
                 self._codes = codes[order]

@@ -75,18 +75,25 @@ def available_formats() -> list[str]:
 
 
 def preload_tables(names=None) -> list[str]:
-    """Build the lookup-table rounding engine for the named formats.
+    """Build the rounding kernels of the named formats (all when ``None``).
 
-    Registered formats are process-wide singletons, so the tables built here
-    are shared by every context that uses them afterwards; the experiment
-    runner calls this before forking worker processes so workers inherit the
-    tables copy-on-write instead of re-enumerating the value sets.  Names
+    Registered formats are process-wide singletons, so the bit kernels and
+    scalar-kernel state built here are shared by every context that uses
+    them afterwards; the experiment runner and the service call this before
+    forking worker processes so workers inherit them copy-on-write.  Names
     that are not registered formats (native/reference contexts) and formats
-    the engine cannot serve are skipped.  Returns the loaded format names.
+    with nothing to build (the cast IEEE widths) are skipped.  Returns the
+    loaded format names.
     """
-    from .tables import warm_tables
-
-    return warm_tables(names)
+    loaded = []
+    for name in FORMATS if names is None else names:
+        fmt = FORMATS.get(name)
+        if fmt is None or fmt.scalar_cutoff == 0:
+            continue  # native/reference names and the cast IEEE widths
+        fmt.bitkernel()
+        fmt.round_scalar_analytic(1.0)  # builds the scalar kernel's state
+        loaded.append(name)
+    return loaded
 
 
 def formats_by_width(bits: int) -> list[NumberFormat]:

@@ -28,8 +28,6 @@ import numpy as np
 
 from . import base as _base
 from .base import (
-    SCALAR_CUTOFF,
-    WIDE_SCALAR_CUTOFF,
     NumberFormat,
     nearest_in_table,
     nearest_in_table_scalar,
@@ -61,7 +59,6 @@ class TakumFormat(NumberFormat):
 
     saturating = True
     has_infinity = False
-    has_scalar_kernel = True
 
     def __init__(self, nbits: int, name: str | None = None):
         if nbits < 6:
@@ -79,25 +76,17 @@ class TakumFormat(NumberFormat):
         self.work_dtype = (
             np.longdouble if nbits > 32 and _base.LONGDOUBLE_EXTENDED else np.float64
         )
-        # the 16-bit table kernel is a 2^15-entry searchsorted, which the
-        # integer bit kernel beats at vector sizes (8-bit takums keep the
-        # direct-indexed table, a single gather)
-        self.prefer_bitkernel_rounding = 8 < nbits <= 16
         self._full_table = self.bits <= 16
         self._magnitudes: np.ndarray | None = None
         self._codes: np.ndarray | None = None
         self._max_value = self._decode_magnitude_of_code((1 << (self.bits - 1)) - 1)
         self._min_positive = self._decode_magnitude_of_code(1)
         self._scalar_state: tuple | None = None
-        # the longdouble kernel pays NumPy scalar dispatch (~4 us/element),
-        # which moves its break-even against the vector kernel down to ~8
-        self.scalar_cutoff = (
-            WIDE_SCALAR_CUTOFF if self.work_dtype is np.float64 else SCALAR_CUTOFF
-        )
         if self.work_dtype is np.longdouble:
-            # the two-word bitkernel's fixed cost (~12 us) is below two
-            # longdouble scalar roundings, so hand off almost immediately
-            self.bitkernel_scalar_cutoff = 2
+            # the longdouble scalar kernel pays NumPy scalar dispatch
+            # (~4 us/element) while the two-word bit kernel's fixed cost
+            # (~12 us) is below two of those, so hand off almost immediately
+            self.scalar_cutoff = 2
 
     def _decode_magnitude_of_code(self, code: int):
         return abs(self.decode_code(code))
@@ -145,26 +134,14 @@ class TakumFormat(NumberFormat):
         float64-work widths, the two-word extended kernel for the 64-bit
         format on 80-bit-longdouble hosts (``None`` on other longdouble
         layouts).  The characteristic-boundary and truncated-characteristic
-        binades resolve through :meth:`round_array_analytic`, so either
-        kernel is bit-identical to the analytic ground truth."""
+        binades resolve through :meth:`round_without_kernel` (the scalar or
+        analytic kernels), so either kernel is bit-identical to the
+        analytic ground truth."""
         if np.dtype(self.work_dtype) == np.dtype(np.float64):
-            return TakumBitKernel(self.bits, self.round_array_analytic)
+            return TakumBitKernel(self.bits, self.round_without_kernel)
         if extended_layout_supported():
-            return TakumExtendedBitKernel(self.bits, self.round_array_analytic)
+            return TakumExtendedBitKernel(self.bits, self.round_without_kernel)
         return None
-
-    def table_semantics(self):
-        """Takum semantics for the shared lookup-table rounding engine."""
-        from .tables import TableSemantics
-
-        return TableSemantics(
-            negation="twos_complement",
-            unsigned_zero=True,
-            underflow_to_min=True,
-            overflow_action="saturate",
-            inf_result="nan",
-            nan_code=1 << (self.bits - 1),
-        )
 
     def encode_analytic(self, values) -> np.ndarray:
         """Analytic (table-free) encode: round through the analytic kernel,
@@ -237,12 +214,10 @@ class TakumFormat(NumberFormat):
     def _ensure_tables(self) -> None:
         if not self._full_table or self._magnitudes is not None:
             return
-        mags, codes = [0.0], [0]
-        for code in range(1, 1 << (self.bits - 1)):
-            mags.append(float(self.decode_code(code)))
-            codes.append(code)
-        mags = np.asarray(mags, dtype=np.float64)
-        codes = np.asarray(codes, dtype=np.int64)
+        # the non-negative codes, decoded through the bit kernel's codec
+        # when one exists (verified code for code against decode_code)
+        codes = np.arange(1 << (self.bits - 1), dtype=np.int64)
+        mags = np.asarray(self.decode(codes), dtype=np.float64)
         order = np.argsort(mags)
         self._magnitudes = mags[order]
         self._codes = codes[order]

@@ -62,30 +62,25 @@ __all__ = [
 ]
 
 
-#: --help epilog surfacing the rounding-backend opt-out hierarchy (the
+#: --help epilog surfacing the rounding dispatch and its two opt-outs (the
 #: fast paths are bit-identical to the analytic kernels, so these exist for
 #: verification runs and micro-benchmarks, not for day-to-day use)
 _EPILOG = """\
 rounding backends:
-  Emulated formats round through lookup tables (8-bit widths), integer
-  bit-twiddling kernels (16/32-bit vector rounding) and pure-Python scalar
-  kernels (scalars and tiny arrays); all are bit-identical to the analytic
-  vector kernels.  Opt-outs, from coarse to fine:
-    REPRO_DISABLE_ROUNDING_TABLES=1   environment: disable the table engine
-                                      for the whole process
+  Emulated formats round scalars and arrays of up to scalar_cutoff
+  elements through pure-Python scalar kernels, larger arrays through
+  integer bit-twiddling kernels, and anything else through the analytic
+  vector kernels; all are bit-identical to the analytic kernels.  Opt-outs:
     REPRO_DISABLE_BITKERNELS=1        environment: disable the integer
-                                      bit-twiddling kernels
-    repro.arithmetic.set_tables_enabled(False)
-    repro.arithmetic.set_bitkernels_enabled(False)
-                                      runtime: same, toggleable per phase
-    get_context(name, use_tables=False)
-                                      per context: force the analytic
-                                      kernels (use_tables=True forces the
-                                      tables even when globally disabled)
+                                      bit-twiddling kernels (runtime:
+                                      repro.arithmetic.set_bitkernels_enabled)
+    --no-tables / get_context(name, use_tables=False)
+                                      force the analytic vector kernels
+                                      for every rounding of the run
 
 parallelism:
   REPRO_WORKERS sets the default worker count of --workers (the benchmark
-  harness honours it too); rounding tables are always warmed in the parent
+  harness honours it too); rounding kernels are always built in the parent
   before workers fork.
 
 experiment store:
@@ -164,7 +159,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--no-tables",
         action="store_true",
-        help="force the analytic rounding kernels (verification runs)",
+        help="force the analytic rounding kernels for every rounding "
+        "(verification runs; sets use_tables=False, a historical name)",
     )
     parser.add_argument(
         "--no-op-count",
@@ -176,7 +172,7 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=default_workers(),
         help="worker processes handed to parallel_map (each worker solves "
-        "whole matrices; the rounding tables are warmed before the fork so "
+        "whole matrices; the rounding kernels are built before the fork so "
         "workers inherit them copy-on-write).  Defaults to $REPRO_WORKERS "
         "or 1; 0 uses all CPUs",
     )
@@ -395,7 +391,7 @@ def build_serve_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--no-preload",
         action="store_true",
-        help="skip building the rounding tables at startup (first cold "
+        help="skip building the rounding kernels at startup (first cold "
         "solve per format pays the cost instead)",
     )
     return parser

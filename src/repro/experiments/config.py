@@ -41,9 +41,10 @@ class ExperimentConfig:
         Accumulation order of the emulated kernels (``"pairwise"`` or
         ``"sequential"``); exposed for the accumulation-order ablation.
     use_tables:
-        Lookup-table rounding-backend override forwarded to the contexts
-        (``None`` = automatic; ``False`` forces the analytic kernels for
-        verification runs).
+        Rounding-backend override forwarded to the contexts (``None`` =
+        automatic; ``False`` forces the analytic kernels for verification
+        runs).  The name is historical; it is kept because it is part of
+        every store key.
     count_ops:
         Whether solver contexts tally rounded elementary operations.
     reference_tolerance:

@@ -419,12 +419,11 @@ def run_experiment(
         rerun_failed=rerun_failed,
         batch_formats=batch_formats,
     )
-    # Build the lookup-table rounding engine once in this process: forked
-    # workers inherit the tables copy-on-write instead of re-enumerating the
-    # value sets per worker, and the serial path pays the build exactly once.
-    # Analytic-kernel verification runs (use_tables=False) never consult the
-    # engine, and a fully cached (warm) plan executes no solver at all, so
-    # skip the build there.
+    # Build the rounding kernels once in this process: forked workers inherit
+    # them copy-on-write instead of rebuilding them per worker, and the
+    # serial path pays the build exactly once.  Analytic-kernel verification
+    # runs (use_tables=False) never consult the kernels, and a fully cached
+    # (warm) plan executes no solver at all, so skip the build there.
     if plan.tasks and config.use_tables is not False:
         preload_tables(formats)
     return execute_plan(plan, workers=workers)

@@ -119,7 +119,7 @@ class ServeClient:
         return data.decode("utf-8")
 
     def warmup(self, formats: Optional[list[str]] = None) -> list[str]:
-        """Ask the service to preload rounding tables; returns loaded names."""
+        """Ask the service to preload rounding kernels; returns loaded names."""
         body = {} if formats is None else {"formats": formats}
         status, _headers, data = self._request("POST", "/v1/warmup", body=body)
         document = self._json(data)

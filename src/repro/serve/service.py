@@ -137,15 +137,15 @@ class SpectralService:
         The test matrices this replica can solve, indexed by name and by
         content fingerprint at construction time.
     formats:
-        Format names to accept and preload tables for (``None``: every
-        registered format).
+        Format names to accept and preload rounding kernels for (``None``:
+        every registered format).
     config:
         Baseline :class:`~repro.experiments.config.ExperimentConfig`;
         request overrides are applied on top per request.
     workers / queue_limit / pool_kind / solve_fn:
         Forwarded to :class:`~repro.serve.bridge.WorkerBridge`.
     preload:
-        Build the per-format rounding tables during :meth:`start` so forked
+        Build the per-format rounding kernels during :meth:`start` so forked
         solver workers inherit them copy-on-write.
     """
 
@@ -200,7 +200,7 @@ class SpectralService:
         return self.server.port
 
     async def start(self) -> None:
-        """Preload tables and start accepting connections."""
+        """Preload rounding kernels and start accepting connections."""
         if self.preload:
             self.preloaded_formats = preload_tables(self.formats)
         await self.server.start()

@@ -259,7 +259,7 @@ class BoundedPool:
 
     ``kind`` selects the executor: ``"process"`` (default) isolates solver
     work in forked worker processes — create the pool *after* warming the
-    rounding tables so workers inherit them copy-on-write; ``"thread"``
+    rounding kernels so workers inherit them copy-on-write; ``"thread"``
     shares the calling process (used by the serve unit tests, where the
     store backend lives in memory).  Process workers are spawned lazily by
     ``concurrent.futures`` on first submission.

@@ -1,20 +1,25 @@
 """Differential kernel-test harness shared by the rounding-kernel suites.
 
 Every rounding backend in :mod:`repro.arithmetic` — the integer bit kernels
-(one-word float64 and two-word extended), the lookup tables and the scalar
-kernels — must be bit-identical to the analytic ground truth
-(``round_array_analytic``).  This module centralises the machinery those
-proofs share so each suite states *what* it sweeps, not how:
+(one-word float64 and two-word extended) and the scalar kernels — must be
+bit-identical to the analytic ground truth (``round_array_analytic``).  This
+module centralises the machinery those proofs share so each suite states
+*what* it sweeps, not how:
 
 * **sweep generators**, all seeded and format-aware: log-uniform random
   magnitudes across (and beyond) a format's dynamic range in its own work
   precision, the shared NaR/NaN/inf/signed-zero edge battery, range/epsilon
-  boundary values, and exact adjacent-code midpoints (the rounding ties),
-  either from explicit code ranges or sampled around binade boundaries;
+  boundary values, exact adjacent-code midpoints (the rounding ties),
+  either from explicit code ranges or sampled around binade boundaries,
+  every decision boundary of a <= 16-bit format's enumerated value table,
+  and strided float32 bit patterns;
 * **comparators** that work for any work dtype: longdouble results cannot be
   compared as raw words (the x87 16-byte slots carry 6 bytes of undefined
   padding), so identity is asserted as value + NaN-position + zero-sign
   equality, which is equivalent to word identity for canonical floats;
+  ``words=True`` tightens this to raw-word identity for float64 (NaN sign
+  and payload included) and to sign-bit identity of every element, NaNs
+  included, for longdouble;
 * **differential drivers** running any kernel-like callable against the
   analytic kernel over a batch of named sweeps.
 
@@ -24,6 +29,7 @@ their own parametrisation.
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -32,6 +38,10 @@ __all__ = [
     "assert_rounded_equal",
     "assert_scalar_matches_vector",
     "edge_battery",
+    "specials_battery",
+    "value_table",
+    "value_table_boundaries",
+    "float32_pattern_values",
     "random_sweep",
     "boundary_sweep",
     "midpoint_sweep",
@@ -45,17 +55,34 @@ __all__ = [
 # --------------------------------------------------------------------- #
 # comparators
 # --------------------------------------------------------------------- #
-def assert_rounded_equal(got, expected, context=""):
+def assert_rounded_equal(got, expected, context="", *, words=False):
     """Require value identity: same NaN positions, equal values elsewhere,
     and matching zero signs.
 
     For canonical float64 this is exactly word identity; for longdouble it
     is the strongest portable comparison (raw words differ in undefined
-    padding bytes).
+    padding bytes).  ``words=True`` additionally requires the NaN signs to
+    match — as raw float64 words (payload included), or as the sign bit of
+    every longdouble element.
     """
     got = np.asarray(got)
     expected = np.asarray(expected)
     assert got.shape == expected.shape, f"{context}: shape mismatch"
+    if words:
+        assert got.dtype == expected.dtype, f"{context}: dtype mismatch"
+        if got.dtype == np.float64:
+            gw = np.ascontiguousarray(got).view(np.uint64)
+            ew = np.ascontiguousarray(expected).view(np.uint64)
+            bad = np.flatnonzero(gw != ew)
+            assert bad.size == 0, (
+                f"{context}: raw words differ at {bad[:8].tolist()} "
+                f"(got {[hex(int(w)) for w in gw.ravel()[bad[:4]]]}, "
+                f"expected {[hex(int(w)) for w in ew.ravel()[bad[:4]]]})"
+            )
+            return
+        assert np.array_equal(np.signbit(got), np.signbit(expected)), (
+            f"{context}: sign bits differ (NaN signs included)"
+        )
     nan_g, nan_e = np.isnan(got), np.isnan(expected)
     assert np.array_equal(nan_g, nan_e), f"{context}: NaN positions differ"
     eq = got[~nan_g] == expected[~nan_e]
@@ -109,6 +136,78 @@ def edge_battery(dtype=np.float64) -> np.ndarray:
         ],
         dtype=dtype,
     )
+
+
+def specials_battery(fmt) -> np.ndarray:
+    """Both signs of NaN, infinity, zero and of magnitudes that overflow or
+    underflow ``fmt`` (including ``inf - inf``, the default NaN of x86
+    arithmetic, whose sign bit is set), in the format's work precision."""
+    wd = fmt.work_dtype
+    maxv = float(fmt.max_value)
+    minp = float(fmt.min_positive)
+    with np.errstate(invalid="ignore"):
+        default_nan = np.float64(np.inf) - np.float64(np.inf)
+    magnitudes = [
+        math.inf,
+        0.0,
+        maxv * 1.25,
+        maxv * 4.0,
+        1e300,
+        minp / 4.0,
+        minp / 3.0,
+        5e-324,
+        500.0,  # beyond E4M3's overflow threshold
+    ]
+    values = [math.nan, -math.nan, float(default_nan), -float(default_nan)]
+    for m in magnitudes:
+        values += [m, -m]
+    return np.asarray(values, dtype=wd)
+
+
+@functools.lru_cache(maxsize=None)
+def value_table(fmt) -> tuple[np.ndarray, np.ndarray]:
+    """Every finite non-negative magnitude of a <= 16-bit float64-work
+    format, ascending, with its code — decoded code by code through the
+    scalar ``decode_code``, the single source of truth."""
+    half = 1 << (fmt.bits - 1)
+    codes = np.arange(half, dtype=np.int64)
+    mags = np.asarray([float(fmt.decode_code(int(c))) for c in codes])
+    finite = np.isfinite(mags)
+    mags, codes = mags[finite], codes[finite]
+    order = np.argsort(mags, kind="stable")
+    mags, codes = mags[order], codes[order]
+    mags.flags.writeable = codes.flags.writeable = False  # shared via the cache
+    return mags, codes
+
+
+def value_table_boundaries(fmt) -> np.ndarray:
+    """Every rounding decision boundary of a <= 16-bit format: each
+    representable magnitude, each adjacent-code midpoint (the exact ties;
+    exact in float64 because adjacent codes share their significand bits),
+    the overflow threshold half a top-binade ulp above the largest
+    magnitude, their float64 neighbours, far-out magnitudes and the edge
+    battery, with both signs."""
+    mags, _codes = value_table(fmt)
+    mids = (mags[:-1] + mags[1:]) * 0.5
+    overflow = mags[-1] + (mags[-1] - mags[-2]) * 0.5
+    anchors = np.concatenate([mags, mids, [overflow]])
+    around = np.concatenate(
+        [
+            anchors,
+            np.nextafter(anchors, np.inf),
+            np.nextafter(anchors, -np.inf),
+            [mags[-1] * 2.0, mags[-1] * 1e10, 1e300, 1e-300],
+        ]
+    )
+    return np.concatenate([around, -around, edge_battery()])
+
+
+def float32_pattern_values(stride, offset=0) -> np.ndarray:
+    """Float64 values of every ``stride``-th float32 bit pattern (both signs,
+    all exponents, NaN/inf patterns included)."""
+    patterns = np.arange(offset, 1 << 32, stride, dtype=np.int64).astype(np.uint32)
+    with np.errstate(invalid="ignore"):  # NaN patterns are swept on purpose
+        return patterns.view(np.float32).astype(np.float64)
 
 
 def _exponent_span(fmt) -> float:

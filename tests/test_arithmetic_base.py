@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.arithmetic import get_format
+from repro.arithmetic import get_context, get_format
 from repro.arithmetic.base import RoundingInfo, nearest_in_table, round_to_quantum
 
 
@@ -97,3 +97,32 @@ class TestConvert:
         assert any_format.round_scalar(any_format.min_positive) == pytest.approx(
             any_format.min_positive, rel=1e-18
         )
+
+
+class TestMachineEpsilonMemoisation:
+    def test_format_epsilon_cached(self):
+        fmt = get_format("takum16")
+        eps = fmt.machine_epsilon
+        assert fmt.__dict__["_machine_epsilon"] == eps
+        assert fmt.machine_epsilon == eps
+
+    def test_context_epsilon_cached(self):
+        ctx = get_context("posit16")
+        eps = ctx.machine_epsilon
+        assert ctx._machine_epsilon == eps
+        assert ctx.machine_epsilon == float(ctx.format.machine_epsilon)
+
+    def test_probing_fallback_is_memoised(self):
+        from repro.arithmetic.ieee import IEEEFormat
+
+        class Probing(IEEEFormat):
+            calls = 0
+
+            def _compute_machine_epsilon(self):
+                type(self).calls += 1
+                return super()._compute_machine_epsilon()
+
+        fmt = Probing(5, 10, "probing16")
+        assert fmt.machine_epsilon == 2.0**-10
+        assert fmt.machine_epsilon == 2.0**-10
+        assert Probing.calls == 1

@@ -4,9 +4,10 @@ The kernels in :mod:`repro.arithmetic.bitkernels` must reproduce the analytic
 ground truth (``round_array_analytic`` / ``decode_code`` /
 ``encode_analytic``) bit for bit:
 
-* **exhaustively** against the lookup tables for every format of <= 16 bits
-  (all representable values, every adjacent-code midpoint — the exact
-  rounding ties — and their work-precision neighbours);
+* **exhaustively** against the analytic kernels for every format of <= 16
+  bits, over the whole enumerated value table (all representable values,
+  every adjacent-code midpoint — the exact rounding ties — and their
+  work-precision neighbours);
 * by **randomized, boundary and tie sweeps** against the preserved analytic
   kernels for the wide formats (posit32/64, takum32/64, float32/64; the
   64-bit tapered formats run the two-word extended kernel, the cast IEEE
@@ -26,14 +27,14 @@ import numpy as np
 import pytest
 
 from repro.arithmetic import bitkernels as bk
-from repro.arithmetic import get_context, get_format, table_for
-from repro.arithmetic.base import SCALAR_CUTOFF
+from repro.arithmetic import get_context, get_format
 from tests._kernel_harness import (
     assert_rounded_equal,
     edge_battery,
     midpoint_sweep,
     random_sweep,
     solver_regime_sweep,
+    value_table_boundaries,
 )
 
 # these are identity proofs *of* the engine: with the engine globally
@@ -57,7 +58,7 @@ KERNEL_FORMATS = [
     "E5M2",
     "E4M3",
 ]
-#: table-eligible formats (<= 16 bits): exhaustive identity required
+#: formats of <= 16 bits: exhaustive identity over the value table required
 TABLE_FORMATS = ["posit8", "posit16", "takum8", "takum16", "float16", "bfloat16", "E5M2", "E4M3"]
 #: wide formats: sweep-based identity of the dispatch (the 64-bit tapered
 #: formats round through the two-word extended kernel, the cast IEEE widths
@@ -67,43 +68,19 @@ WIDE_FORMATS = ["posit32", "takum32", "posit64", "takum64", "float32", "float64"
 _U = np.uint64
 
 
-def exhaustive_table_inputs(fmt) -> np.ndarray:
-    """Every representable value, every adjacent midpoint (the exact ties)
-    and their one-ulp float64 neighbours, for a <= 16-bit format."""
-    table = table_for(fmt)
-    assert table is not None, fmt.name
-    mags = table.magnitudes
-    mids = (mags[:-1] + mags[1:]) * 0.5  # exact: adjacent codes share bits
-    around = np.concatenate(
-        [
-            mags,
-            mids,
-            np.nextafter(mids, np.inf),
-            np.nextafter(mids, -np.inf),
-            np.nextafter(mags, np.inf),
-            np.nextafter(mags, -np.inf),
-            [float(mags[-1]) * 2.0, float(mags[-1]) * 1e10],
-        ]
-    )
-    return np.concatenate([around, -around, edge_battery()])
-
-
 # --------------------------------------------------------------------- #
 # rounding identity
 # --------------------------------------------------------------------- #
 @pytest.mark.parametrize("name", TABLE_FORMATS)
 def test_round_exhaustive_vs_tables(name):
-    """Kernel rounding == table rounding == analytic, over every
-    representable value and every exact tie of the format."""
+    """Kernel rounding == analytic over the whole enumerated value table:
+    every representable value and every exact tie of the format."""
     fmt = get_format(name)
     kern = fmt.bitkernel()
     assert kern is not None
-    values = exhaustive_table_inputs(fmt)
+    values = value_table_boundaries(fmt)
     analytic = fmt.round_array_analytic(values)
     assert_rounded_equal(kern.round(values), analytic, f"{name} kernel-vs-analytic")
-    assert_rounded_equal(
-        table_for(fmt).round_values(values), analytic, f"{name} table-vs-analytic"
-    )
 
 
 @pytest.mark.parametrize("name", KERNEL_FORMATS)
@@ -188,7 +165,8 @@ def test_cast_ieee_formats_have_no_kernel():
 @pytest.mark.parametrize("name", TABLE_FORMATS)
 def test_decode_exhaustive(name):
     """Kernel decode == scalar ``decode_code`` for every code (this is the
-    path the lookup-table engine builds its decode LUT through)."""
+    path ``decode``/``encode`` and the <= 16-bit analytic kernels' value
+    tables go through)."""
     fmt = get_format(name)
     codes = np.arange(1 << fmt.bits, dtype=np.uint64)
     expected = np.asarray([fmt.decode_code(int(c)) for c in codes], dtype=np.float64)
@@ -219,7 +197,7 @@ def test_encode_matches_analytic(name):
     values = fmt.round_array_analytic(random_sweep(fmt, 40_000, seed=5))
     expected = fmt.encode_analytic(values)
     assert np.array_equal(fmt.bitkernel().encode(values), expected), name
-    # the format-level dispatch must agree as well (table- or kernel-served)
+    # the format-level codec must agree as well
     assert np.array_equal(fmt.encode(values), expected), name
 
 
@@ -367,22 +345,20 @@ def test_use_tables_false_bypasses_bitkernels():
 
 
 def test_table_construction_decodes_via_bitkernels():
-    """The lookup tables are built from the vectorised kernel decode; their
-    decode LUT must equal the scalar decoder exactly (NaN-aware)."""
+    """The value tables of the <= 16-bit analytic kernels are built from the
+    vectorised kernel decode; they must equal the scalar decoder exactly."""
     fmt = get_format("takum16")
-    table = table_for(fmt)
-    sample = np.concatenate(
-        [np.arange(0, 2_000, dtype=np.uint64), np.arange(30_000, 34_000, dtype=np.uint64)]
-    )
-    expected = np.asarray([fmt.decode_code(int(c)) for c in sample])
-    assert_rounded_equal(table.decode_values(sample), expected, "takum16 lut")
+    fmt.round_array_analytic(np.asarray([1.0]))  # builds the value table
+    codes = np.arange(1 << (fmt.bits - 1))
+    expected = np.sort([float(fmt.decode_code(int(c))) for c in codes])
+    assert_rounded_equal(fmt._magnitudes, expected, "takum16 value table")
 
 
 def test_scalar_cutoff_path_unchanged():
     """Tiny arrays still take the scalar loop, not the kernel (dispatch)."""
     fmt = get_format("posit32")
     rng = np.random.default_rng(43)
-    values = rng.standard_normal(SCALAR_CUTOFF)
+    values = rng.standard_normal(fmt.scalar_cutoff)
     assert np.array_equal(fmt.round_array(values), fmt.round_array_analytic(values))
 
 

@@ -32,8 +32,8 @@ class TestEntryPointSmoke:
         proc = _run_cli_subprocess("--help")
         assert proc.returncode == 0, proc.stderr
         assert "--suite" in proc.stdout
-        # the rounding-backend opt-out hierarchy is surfaced in the epilog
-        assert "REPRO_DISABLE_ROUNDING_TABLES" in proc.stdout
+        # the two rounding-backend opt-outs are surfaced in the epilog
+        assert "REPRO_DISABLE_BITKERNELS" in proc.stdout
         assert "use_tables" in proc.stdout
 
     def test_table1_run(self):

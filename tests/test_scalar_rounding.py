@@ -13,26 +13,28 @@ The sweeps and the scalar-vs-vector comparator come from
 :mod:`tests._kernel_harness`, shared with the bit-kernel suites.
 """
 
+import functools
 import math
 
 import numpy as np
 import pytest
 
-from repro.arithmetic import get_context, get_format
-from repro.arithmetic import tables as tables_mod
-from repro.arithmetic.base import SCALAR_CUTOFF, WIDE_SCALAR_CUTOFF
+from repro.arithmetic import available_formats, get_context, get_format
+from repro.arithmetic.base import NumberFormat
+from repro.arithmetic.context import EmulatedContext
+from repro.arithmetic.ofp8 import OFP8E4M3
 from tests._kernel_harness import (
+    assert_rounded_equal,
     assert_scalar_matches_vector,
     boundary_sweep,
     midpoint_sweep,
     random_sweep,
+    specials_battery,
 )
 
-#: formats the table engine cannot serve — the scalar kernels are their only
-#: fast path at solver-call sizes
+#: formats wider than 16 bits
 WIDE_FORMATS = ["posit32", "posit64", "takum32", "takum64", "float32", "float64"]
-#: narrow formats whose scalar kernels back ``round_array`` when the table
-#: engine is disabled
+#: formats of <= 16 bits
 NARROW_FORMATS = ["posit8", "posit16", "takum8", "takum16", "float16", "bfloat16", "E4M3", "E5M2"]
 ALL_FORMATS = WIDE_FORMATS + NARROW_FORMATS
 
@@ -89,7 +91,8 @@ class TestRoundArrayDispatch:
         """round_array on solver-call sizes must equal the vector kernel."""
         fmt = wide_format
         rng = np.random.default_rng(3)
-        for size in (0, 1, 2, SCALAR_CUTOFF, WIDE_SCALAR_CUTOFF, WIDE_SCALAR_CUTOFF + 1):
+        cutoff = fmt.scalar_cutoff
+        for size in (0, 1, 2, 8, cutoff, cutoff + 1, 25):
             values = (rng.standard_normal(size) * np.exp(rng.uniform(-30, 30, size))).astype(
                 fmt.work_dtype
             )
@@ -108,16 +111,41 @@ class TestRoundArrayDispatch:
         assert np.array_equal(out, wide_format.round_array_analytic(values))
 
     def test_narrow_formats_use_scalar_kernel_when_tables_disabled(self):
-        previous = tables_mod.set_enabled(False)
-        try:
-            for name in NARROW_FORMATS:
-                fmt = get_format(name)
-                values = np.asarray([0.3, -1.7, 100.0], dtype=fmt.work_dtype)
-                assert np.array_equal(
-                    fmt.round_array(values), fmt.round_array_analytic(values)
-                ), name
-        finally:
-            tables_mod.set_enabled(previous)
+        """Tiny arrays of the narrow formats round through their scalar
+        kernels."""
+        for name in NARROW_FORMATS:
+            fmt = get_format(name)
+            values = np.asarray([0.3, -1.7, 100.0], dtype=fmt.work_dtype)
+            assert values.size <= fmt.scalar_cutoff, name
+            assert np.array_equal(
+                fmt.round_array(values), fmt.round_array_analytic(values)
+            ), name
+
+    @pytest.mark.parametrize("name", available_formats() + ["E4M3sat"])
+    def test_specials_bit_identical_across_paths(self, name):
+        """Every rounding path returns the same raw words, NaN signs
+        included, over both signs of NaN, infinity, zero and of overflowing
+        and underflowing magnitudes: the context's scalar path, the
+        dispatch at sizes 1, ``scalar_cutoff`` and ``scalar_cutoff + 1``
+        (scalar kernel and bit kernel, with the special value filling the
+        array or alone among ones), and the analytic ground truth."""
+        fmt = OFP8E4M3(saturate=True) if name == "E4M3sat" else get_format(name)
+        ctx = EmulatedContext(fmt)
+        values = specials_battery(fmt)
+        expected = fmt.round_array_analytic(values)
+        wd = fmt.work_dtype
+        scalar = np.asarray([ctx.round_scalar(v) for v in values], dtype=wd)
+        assert_rounded_equal(scalar, expected, f"{name} round_scalar", words=True)
+        for size in sorted({1, max(fmt.scalar_cutoff, 1), fmt.scalar_cutoff + 1}):
+            filled = np.empty_like(values)
+            alone = np.empty_like(values)
+            for i, v in enumerate(values):
+                filled[i] = fmt.round_array(np.full(size, v, dtype=wd))[-1]
+                among_ones = np.ones(size, dtype=wd)
+                among_ones[-1] = v
+                alone[i] = fmt.round_array(among_ones)[-1]
+            for got in (filled, alone):
+                assert_rounded_equal(got, expected, f"{name} round_array n={size}", words=True)
 
     def test_round_scalar_matches_round_array(self, any_kernel_format):
         fmt = any_kernel_format
@@ -189,16 +217,6 @@ class TestContextScalarOps:
         for v in (0.3, -1.7, 1e8, 1e-8):
             assert float(analytic.round_scalar(v)) == float(default.round_scalar(v))
 
-    def test_forced_tables_scalar_ops(self):
-        previous = tables_mod.set_enabled(False)
-        try:
-            forced = get_context("takum16", use_tables=True)
-            plain = get_context("takum16")
-            for v in (0.3, -1.7, 1e8):
-                assert float(forced.round_scalar(v)) == float(plain.round_scalar(v))
-        finally:
-            tables_mod.set_enabled(previous)
-
     def test_reference_context_keeps_extended_precision(self):
         ctx = get_context("reference")
         one = np.longdouble(1.0)
@@ -229,18 +247,19 @@ class TestSolverEquivalence:
         result_fast = partialschur(matrix, nev=4, tol=1e-6, ctx=name, restarts=10, seed=1)
 
         fmt = get_format(name)
-        saved_kernel = type(fmt).has_scalar_kernel
         saved_cutoff = fmt.scalar_cutoff
         try:
-            type(fmt).has_scalar_kernel = False
             fmt.scalar_cutoff = 0
             # neutralise the context-level scalar plumbing as well: route
             # every scalar rounding back through the vector kernel
+            fmt.round_scalar_analytic = functools.partial(
+                NumberFormat.round_scalar_analytic, fmt
+            )
             result_slow = partialschur(
                 matrix, nev=4, tol=1e-6, ctx=name, restarts=10, seed=1
             )
         finally:
-            type(fmt).has_scalar_kernel = saved_kernel
+            del fmt.round_scalar_analytic
             fmt.scalar_cutoff = saved_cutoff
         assert np.array_equal(
             np.asarray(result_fast.eigenvalues, dtype=np.float64),

@@ -1,75 +1,39 @@
-"""Bit-exactness and behaviour tests of the lookup-table rounding engine.
+"""Value-table sweeps: bit-exactness of the rounding dispatch over the whole
+enumerated value table of every format of <= 16 bits.
 
-The table backend (:mod:`repro.arithmetic.tables`) must be bit-identical to
-the analytic kernels it replaces: same rounded values (including the sign of
-zero), same NaN positions, same codes.  The fast tests sweep a strided sample
-of the float32 pattern space plus every rounding decision boundary; the
-``slow``-marked tests densify the pattern sweep (run them with
+A format of at most 16 bits has few enough codes to enumerate, so its
+rounding can be checked at *every* decision boundary: each representable
+magnitude, each exact tie between adjacent codes, the overflow threshold and
+their float64 neighbours.  These tests run the public dispatch
+(``round_array``, which serves tiny arrays through the scalar kernel and
+larger ones through the bit kernel), the codecs (``encode``/``decode``) and
+the context opt-out against the analytic ground truth.  The sweep generators
+and comparators live in :mod:`tests._kernel_harness`; the ``slow``-marked
+tests densify the float32-pattern sweep (run them with
 ``pytest -m slow tests/test_tables.py``).
 """
 
 import numpy as np
 import pytest
 
-from repro.arithmetic import (
-    TABLE_CACHE,
-    available_formats,
-    get_context,
-    get_format,
-    preload_tables,
-    table_for,
-)
-from repro.arithmetic import tables as tables_mod
+from repro.arithmetic import get_context, get_format, preload_tables
 from repro.arithmetic.context import EmulatedContext
 from repro.arithmetic.ofp8 import OFP8E4M3
+from tests._kernel_harness import (
+    assert_rounded_equal,
+    float32_pattern_values,
+    value_table_boundaries,
+)
 
 EIGHT_BIT = ["E4M3", "E5M2", "posit8", "takum8"]
 SIXTEEN_BIT = ["float16", "bfloat16", "posit16", "takum16"]
 TABLE_FORMATS = EIGHT_BIT + SIXTEEN_BIT
 
 
-def assert_bit_identical(result, expected, context=""):
-    """Equal values, equal NaN positions and equal zero signs."""
-    result = np.asarray(result)
-    expected = np.asarray(expected)
-    assert result.shape == expected.shape, context
-    nan_r, nan_e = np.isnan(result), np.isnan(expected)
-    assert np.array_equal(nan_r, nan_e), f"NaN positions differ {context}"
-    assert np.array_equal(result[~nan_r], expected[~nan_e]), f"values differ {context}"
-    assert np.array_equal(
-        np.signbit(result[~nan_r]), np.signbit(expected[~nan_e])
-    ), f"zero signs differ {context}"
-
-
-def float32_pattern_values(stride, offset=0):
-    """Float64 values of every ``stride``-th float32 bit pattern (both signs,
-    all exponents, NaN/inf patterns included)."""
-    patterns = np.arange(offset, 1 << 32, stride, dtype=np.int64).astype(np.uint32)
-    with np.errstate(invalid="ignore"):  # NaN patterns are swept on purpose
-        return patterns.view(np.float32).astype(np.float64)
-
-
-def boundary_values(table):
-    """Every rounding decision boundary of a format: exact midpoints, their
-    float64 neighbours, the representable magnitudes themselves, denormal
-    and overflow regions, both signs, plus specials."""
-    mids = table.midpoints
-    mags = table.magnitudes
-    sem = table.semantics
-    pieces = [
-        mids,
-        np.nextafter(mids, np.inf),
-        np.nextafter(mids, -np.inf),
-        mags,
-        np.nextafter(mags, np.inf),
-        np.nextafter(mags, -np.inf),
-        np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 1e300, 1e-300, 5e-324]),
-    ]
-    if sem.overflow_threshold is not None:
-        thr = sem.overflow_threshold
-        pieces.append(np.array([thr, np.nextafter(thr, 0), np.nextafter(thr, np.inf)]))
-    positive = np.concatenate(pieces)
-    return np.concatenate([positive, -positive])
+def _check_dispatch(fmt, values, context=""):
+    assert_rounded_equal(
+        fmt.round_array(values), fmt.round_array_analytic(values), f"{fmt.name}{context}"
+    )
 
 
 @pytest.fixture(params=TABLE_FORMATS)
@@ -79,82 +43,56 @@ def table_format(request):
 
 class TestBitExactRounding:
     def test_boundary_sweep(self, table_format):
-        table = table_for(table_format)
-        assert table is not None
-        values = boundary_values(table)
-        assert_bit_identical(
-            table.round_values(values),
-            table_format.round_array_analytic(values),
-            context=table_format.name,
-        )
+        _check_dispatch(table_format, value_table_boundaries(table_format))
 
     @pytest.mark.parametrize("fmt_name", EIGHT_BIT)
     def test_float32_pattern_sweep_sample(self, fmt_name):
-        fmt = get_format(fmt_name)
-        table = table_for(fmt)
         values = float32_pattern_values(stride=65537)  # ~65k patterns, odd stride
-        assert_bit_identical(
-            table.round_values(values),
-            fmt.round_array_analytic(values),
-            context=fmt_name,
-        )
+        _check_dispatch(get_format(fmt_name), values)
 
     @pytest.mark.slow
     @pytest.mark.parametrize("fmt_name", EIGHT_BIT)
     def test_float32_pattern_sweep_dense(self, fmt_name):
         fmt = get_format(fmt_name)
-        table = table_for(fmt)
         for offset in range(0, 509, 127):
             values = float32_pattern_values(stride=509, offset=offset)
-            assert_bit_identical(
-                table.round_values(values),
-                fmt.round_array_analytic(values),
-                context=f"{fmt_name} offset={offset}",
-            )
+            _check_dispatch(fmt, values, f" offset={offset}")
 
     @pytest.mark.parametrize("fmt_name", SIXTEEN_BIT)
     def test_dense_random_sweep_16bit(self, fmt_name):
-        fmt = get_format(fmt_name)
-        table = table_for(fmt)
         rng = np.random.default_rng(99)
         values = rng.standard_normal(200_000) * np.exp(rng.uniform(-200, 200, 200_000))
-        assert_bit_identical(
-            table.round_values(values),
-            fmt.round_array_analytic(values),
-            context=fmt_name,
-        )
+        _check_dispatch(get_format(fmt_name), values)
 
     def test_e4m3_saturating_variant(self):
         fmt = OFP8E4M3(saturate=True)
-        table = table_for(fmt)
-        assert table is not None
         values = np.concatenate(
-            [boundary_values(table), float32_pattern_values(stride=131101)]
+            [value_table_boundaries(fmt), float32_pattern_values(stride=131101)]
         )
-        assert_bit_identical(
-            table.round_values(values), fmt.round_array_analytic(values)
-        )
+        _check_dispatch(fmt, values)
 
     def test_scalar_fast_path_matches_vector_and_analytic(self, table_format):
-        """Arrays of size <= SCALAR_CUTOFF take the pure-Python bisect path;
-        sweep every decision boundary through it element by element."""
-        table = table_for(table_format)
-        values = boundary_values(table)
-        batch = table.round_values(values)
-        analytic = table_format.round_array_analytic(values)
+        """Arrays of up to ``scalar_cutoff`` elements take the pure-Python
+        scalar kernel; sweep every decision boundary through it element by
+        element and compare with the bit-kernel batch and the analytic
+        kernel."""
+        fmt = table_format
+        values = value_table_boundaries(fmt)
+        assert values.size > fmt.scalar_cutoff >= 1
+        batch = fmt.round_array(values)
+        analytic = fmt.round_array_analytic(values)
         scalar = np.empty_like(values)
         for i, v in enumerate(values):
-            one = table.round_values(np.asarray([v], dtype=table_format.work_dtype))
-            scalar[i] = one[0]
-        assert_bit_identical(scalar, batch, context=f"{table_format.name} scalar-vs-vector")
-        assert_bit_identical(scalar, analytic, context=f"{table_format.name} scalar-vs-analytic")
+            scalar[i] = fmt.round_array(np.asarray([v], dtype=fmt.work_dtype))[0]
+        assert_rounded_equal(scalar, batch, f"{fmt.name} scalar-vs-vector")
+        assert_rounded_equal(scalar, analytic, f"{fmt.name} scalar-vs-analytic")
 
     def test_idempotent(self, table_format):
         rng = np.random.default_rng(5)
         values = rng.standard_normal(1000) * np.exp(rng.uniform(-30, 30, 1000))
         once = table_format.round_array(values)
         finite = np.isfinite(once)
-        assert_bit_identical(table_format.round_array(once)[finite], once[finite])
+        assert_rounded_equal(table_format.round_array(once)[finite], once[finite])
 
 
 class TestEncodeDecode:
@@ -163,18 +101,17 @@ class TestEncodeDecode:
 
         Non-canonical NaN codes (IEEE formats have many NaN patterns) encode
         back to the canonical NaN code, and formats without a signed-zero
-        code (E4M3) canonicalise the negative-zero code to all-zeros.
+        code (E4M3) canonicalise the negative-zero code to all-zeros — both
+        exactly as the analytic encoder does.
         """
-        table = table_for(table_format)
-        codes = np.arange(1 << table_format.bits, dtype=np.uint64)
-        decoded = table_format.decode(codes)
-        encoded = table_format.encode(decoded)
-        expected = np.where(np.isnan(decoded), np.uint64(table.semantics.nan_code), codes)
-        if not table.semantics.signed_zero_code:
-            expected = np.where(
-                (decoded == 0.0) & np.signbit(decoded), np.uint64(0), expected
-            )
-        assert np.array_equal(encoded, expected), table_format.name
+        fmt = table_format
+        codes = np.arange(1 << fmt.bits, dtype=np.uint64)
+        decoded = fmt.decode(codes)
+        encoded = fmt.encode(decoded)
+        nan_code, neg_zero_code = fmt.encode_analytic(np.array([np.nan, -0.0]))
+        expected = np.where(np.isnan(decoded), nan_code, codes)
+        expected = np.where((decoded == 0.0) & np.signbit(decoded), neg_zero_code, expected)
+        assert np.array_equal(encoded, expected), fmt.name
 
     def test_decode_matches_scalar_decode(self, table_format):
         rng = np.random.default_rng(3)
@@ -184,7 +121,7 @@ class TestEncodeDecode:
             [table_format.decode_code(int(c)) for c in codes],
             dtype=table_format.work_dtype,
         )
-        assert_bit_identical(vectorised, scalar, context=table_format.name)
+        assert_rounded_equal(vectorised, scalar, table_format.name)
 
     def test_encode_matches_analytic_encode(self, table_format):
         rng = np.random.default_rng(7)
@@ -194,9 +131,8 @@ class TestEncodeDecode:
                 np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 1e300, -1e300]),
             ]
         )
-        table = table_for(table_format)
         assert np.array_equal(
-            table.encode_values(values), table_format.encode_analytic(values)
+            table_format.encode(values), table_format.encode_analytic(values)
         ), table_format.name
 
     def test_decode_preserves_shape_and_dtype(self, table_format):
@@ -208,17 +144,13 @@ class TestEncodeDecode:
 
 class TestTableCache:
     def test_formats_share_one_table(self):
+        """Formats are process-wide singletons: every context of a format
+        shares one bit kernel (and with it the kernel's lookup tables)."""
         fmt = get_format("takum16")
-        assert table_for(fmt) is table_for(fmt)
+        assert fmt.bitkernel() is fmt.bitkernel()
         ctx_a = get_context("takum16")
         ctx_b = get_context("takum16")
-        assert table_for(ctx_a.format) is table_for(ctx_b.format)
-
-    def test_wide_formats_are_not_table_backed(self):
-        for name in ("float32", "float64", "posit32", "takum64"):
-            fmt = get_format(name)
-            assert table_for(fmt) is None
-            assert not fmt.table_backed
+        assert ctx_a.format is ctx_b.format is fmt
 
     def test_preload_tables_skips_native_names(self):
         loaded = preload_tables(["takum16", "float64", "reference", "E4M3"])
@@ -227,89 +159,20 @@ class TestTableCache:
         assert "float64" not in loaded
         assert "reference" not in loaded
 
-    def test_cache_reports_loaded_tables(self):
-        preload_tables(["posit8"])
-        assert "posit8" in TABLE_CACHE.loaded()
-        assert TABLE_CACHE.nbytes() > 0
-
-    def test_all_narrow_formats_are_eligible(self):
-        for name in available_formats():
-            fmt = get_format(name)
-            assert TABLE_CACHE.supports(fmt) == (fmt.bits <= tables_mod.MAX_TABLE_BITS)
-
 
 class TestOptOut:
-    def test_global_disable(self):
-        fmt = get_format("takum16")
-        previous = tables_mod.set_enabled(False)
-        try:
-            assert table_for(fmt) is None
-            assert not fmt.table_backed
-        finally:
-            tables_mod.set_enabled(previous)
-        assert fmt.table_backed
-
     def test_context_opt_out_matches_analytic(self):
         rng = np.random.default_rng(11)
         values = rng.standard_normal(256)
         analytic_ctx = get_context("posit16", use_tables=False)
-        table_ctx = get_context("posit16")
+        default_ctx = get_context("posit16")
         assert isinstance(analytic_ctx, EmulatedContext)
         assert analytic_ctx.use_tables is False
-        assert_bit_identical(analytic_ctx.round(values), table_ctx.round(values))
-
-    def test_context_force_tables_overrides_global_disable(self):
-        rng = np.random.default_rng(13)
-        values = rng.standard_normal(256)
-        previous = tables_mod.set_enabled(False)
-        try:
-            forced = get_context("takum16", use_tables=True)
-            plain = get_context("takum16")
-            assert forced._forced_table is not None
-            # the forced context still rounds through the tables while the
-            # plain context has fallen back to the analytic kernels
-            assert_bit_identical(forced.round(values), plain.round(values))
-        finally:
-            tables_mod.set_enabled(previous)
+        assert_rounded_equal(analytic_ctx.round(values), default_ctx.round(values))
 
     def test_context_force_tables_rejects_wide_formats(self):
-        with pytest.raises(ValueError, match="cannot be served"):
-            get_context("takum64", use_tables=True)
-
-    def test_ieee16_uses_analytic_rounding_but_table_codecs(self):
-        # measured: the IEEE quantum kernel beats a 2^15-entry searchsorted,
-        # so 16-bit IEEE formats keep analytic rounding and table encode/decode
-        fmt = get_format("bfloat16")
-        table = table_for(fmt)
-        assert table is not None
-        assert not table.semantics.prefer_table_rounding
-        assert table_for(get_format("E5M2")).semantics.prefer_table_rounding
-
-
-class TestMachineEpsilonMemoisation:
-    def test_format_epsilon_cached(self):
-        fmt = get_format("takum16")
-        eps = fmt.machine_epsilon
-        assert fmt.__dict__["_machine_epsilon"] == eps
-        assert fmt.machine_epsilon == eps
-
-    def test_context_epsilon_cached(self):
-        ctx = get_context("posit16")
-        eps = ctx.machine_epsilon
-        assert ctx._machine_epsilon == eps
-        assert ctx.machine_epsilon == float(ctx.format.machine_epsilon)
-
-    def test_probing_fallback_is_memoised(self):
-        from repro.arithmetic.ieee import IEEEFormat
-
-        class Probing(IEEEFormat):
-            calls = 0
-
-            def _compute_machine_epsilon(self):
-                type(self).calls += 1
-                return super()._compute_machine_epsilon()
-
-        fmt = Probing(5, 10, "probing16")
-        assert fmt.machine_epsilon == 2.0**-10
-        assert fmt.machine_epsilon == 2.0**-10
-        assert Probing.calls == 1
+        """``use_tables=True`` used to force the removed lookup-table engine;
+        it is rejected for every format now, wide and narrow alike."""
+        for name in ("takum64", "takum16"):
+            with pytest.raises(ValueError, match="use_tables=True"):
+                get_context(name, use_tables=True)
