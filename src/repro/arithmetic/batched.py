@@ -15,8 +15,8 @@ of ``(n_formats, ...)`` trajectories advances in lockstep:
   same rounded-operation vocabulary as
   :class:`~repro.arithmetic.context.ComputeContext`, operating on stacked
   arrays whose leading axis is the format axis.  Every element of a result
-  is rounded by *its own row's* format — narrow formats through the stacked
-  integer bit-kernel tables, wide two-word formats through their own
+  is rounded by *its own row's* format — one-word formats through the
+  stacked integer bit kernel, wide two-word formats through their own
   context's rounding backend;
 * :class:`BatchedFArray` is the operator-form wrapper over a stacked array
   (the batched sibling of :class:`~repro.arithmetic.farray.FArray`).
@@ -35,20 +35,20 @@ per-format trajectories of the lockstep solvers
    bit kernel, proven in the kernel test suites), so a row may be rounded by
    whichever backend is fastest for the stacked layout.
 
-The stacked rounder concatenates the per-row 4096-entry exponent-field
-tables of the one-word integer bit kernels (:mod:`repro.arithmetic.
-bitkernels`) into one ``(n_formats * 4096)`` table indexed by
-``row * 4096 + (word >> 52)``, so one fused vector pass rounds every row by
-its own format.  Rows the kernels cannot serve (two-word 64-bit formats,
-analytic-verification contexts) fall back to their own
-context's ``round`` / ``round_scalar`` — slower, still bit-identical.
+A float64 lane whose rows all have one-word integer bit kernels (or are
+native) rounds through a :class:`~repro.arithmetic.bitkernels.
+StackedBitKernel`: the rows' exponent-field tables concatenated, and the
+same float64-word transform the sequential kernels run, in one fused
+pass over the whole stack.  Rows the kernels cannot serve (two-word 64-bit
+formats, analytic-verification contexts) fall back to their own context's
+``round`` / ``round_scalar`` — slower, still bit-identical.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .bitkernels import _SPECIAL_IDENTITY, _SPECIAL_RESOLVE
+from .bitkernels import StackedBitKernel
 from .context import (
     ComputeContext,
     ContextSpec,
@@ -58,13 +58,6 @@ from .context import (
 )
 
 __all__ = ["BatchSpec", "BatchedContext", "BatchedFArray"]
-
-_U = np.uint64
-
-#: row-rounding modes
-_IDENTITY = 0  # native dtype rows: rounding is the identity on lane values
-_KERNEL = 1  # one-word integer bit kernel: served by the stacked tables
-_FALLBACK = 2  # everything else: per-row ctx.round / round_scalar
 
 
 def _as_spec(spec) -> ContextSpec:
@@ -164,204 +157,17 @@ class BatchSpec:
         return f"BatchSpec({list(self.formats)!r})"
 
 
-class _RowRounder:
-    """Rounds each row of a stacked lane array by its own format.
+def _one_word_kernel(ctx):
+    """The one-word bit kernel rounding ``ctx``'s float64 results, if any.
 
-    When every row is served by a one-word integer bit kernel (or is a
-    native-dtype identity row), the rounder runs one fused pass over the
-    stacked array using the concatenated per-row tables; otherwise it loops
-    over the rows and delegates to each row's own context backend.  Both
-    paths produce bit-identical values (backend equivalence).
-    """
-
-    #: exponent-field table length of the one-word kernels (sign-mirrored)
-    _TABLE = 4096
-
-    def __init__(self, contexts):
-        self.contexts = contexts
-        nrows = len(contexts)
-        modes = []
-        kernels = []
-        lane_dtype = contexts[0].dtype
-        for ctx in contexts:
-            mode, kern = self._classify(ctx, lane_dtype)
-            modes.append(mode)
-            kernels.append(kern)
-        self.modes = modes
-        self.kernels = kernels
-        #: rounding is the identity for every row (pure native lanes)
-        self.noop = all(m == _IDENTITY for m in modes)
-        #: one fused stacked pass serves every row
-        self.stacked = (
-            not self.noop
-            and lane_dtype is np.float64
-            and all(m in (_IDENTITY, _KERNEL) for m in modes)
-        )
-        if self.stacked:
-            T = self._TABLE
-            shift = np.ones(nrows * T, dtype=_U)
-            bias = np.zeros(nrows * T, dtype=_U)
-            special = np.zeros(nrows * T, dtype=np.uint8)
-            for i, (mode, kern) in enumerate(zip(modes, kernels)):
-                sl = slice(i * T, (i + 1) * T)
-                if mode == _IDENTITY:
-                    special[sl] = _SPECIAL_IDENTITY
-                else:
-                    if len(kern._shift) != T:
-                        raise AssertionError("one-word kernel table size mismatch")
-                    shift[sl] = kern._shift
-                    bias[sl] = kern._bias
-                    special[sl] = kern._special
-                    # exact zeros (exponent field 0, either sign) leave the
-                    # transform already rounded: shifting out all 64 bits
-                    # gives the single unsigned zero, 63 keeps the sign of
-                    # zero; the float64 subnormals sharing the field stay
-                    # flagged for resolution
-                    shift[i * T] = shift[i * T + T // 2] = 64 if kern.unsigned_zero else 63
-            self._shift_all = shift
-            self._bias_all = bias
-            self._special_all = special
-            self._scratch: dict = {}
-            self._last_size = -1
-            self._last_bufs: tuple = ()
-            #: identity entries exist only for native rows or kernels with
-            #: identity binades; without them ``special`` is 0/RESOLVE and
-            #: the per-call IDENTITY scan can be skipped entirely
-            self._any_identity = any(
-                m == _IDENTITY or (k is not None and k._has_identity)
-                for m, k in zip(modes, kernels)
-            )
-            #: (rows bytes, per_row) -> precomputed flat table offsets; the
-            #: same sub-batch rounds thousands of times per sweep, so the
-            #: multiply+repeat is worth caching
-            self._offsets: dict = {}
-
-    @staticmethod
-    def _classify(ctx, lane_dtype):
-        if isinstance(ctx, NativeContext):
-            return _IDENTITY, None
-        if not isinstance(ctx, EmulatedContext):  # pragma: no cover - defensive
-            return _FALLBACK, None
-        if ctx.use_tables is False:
-            # analytic-verification contexts: honour the row's own backend
-            # selection through its round()/round_scalar()
-            return _FALLBACK, None
-        kern = ctx.format.bitkernel()
-        if (
-            lane_dtype is np.float64
-            and kern is not None
-            and kern.WORD_FRAC_BITS == 52  # one-word kernels only
-        ):
-            return _KERNEL, kern
-        return _FALLBACK, None
-
-    def _scratch_for(self, size: int):
-        if size == self._last_size:  # consecutive same-shape ops dominate
-            return self._last_bufs
-        bufs = self._scratch.get(size)
-        if bufs is None:
-            bufs = (
-                np.empty(size, dtype=np.int64),  # flat table index
-                np.empty(size, dtype=_U),  # per-element shift
-                np.empty(size, dtype=_U),  # lsb / scratch
-                np.empty(size, dtype=_U),  # accumulator (rounded word)
-                np.empty(size, dtype=np.uint8),  # special mask
-            )
-            if size <= 1 << 16 and len(self._scratch) < 32:
-                self._scratch[size] = bufs
-        self._last_size = size
-        self._last_bufs = bufs
-        return bufs
-
-    def round(self, arr: np.ndarray, rows: np.ndarray) -> None:
-        """Round ``arr`` in place; ``rows[i]`` is the format row of
-        ``arr[i]`` (the leading axis is the format axis)."""
-        if self.noop:
-            return
-        if self.stacked:
-            self._stacked_round(arr, rows)
-            return
-        contexts = self.contexts
-        if arr.ndim == 1:
-            for i in range(arr.shape[0]):
-                arr[i] = contexts[rows[i]].round_scalar(arr[i])
-            return
-        for i in range(arr.shape[0]):
-            row = arr[i]
-            contexts[rows[i]].round(row, out=row)
-
-    def _offsets_for(self, rows: np.ndarray, per_row: int) -> np.ndarray:
-        rows = np.asarray(rows, dtype=np.int64)
-        key = (rows.tobytes(), per_row)
-        off = self._offsets.get(key)
-        if off is None:
-            off = (rows * self._TABLE).repeat(per_row)
-            if len(self._offsets) < 256:
-                self._offsets[key] = off
-        return off
-
-    def _stacked_round(self, arr: np.ndarray, rows: np.ndarray) -> None:
-        if arr.flags["C_CONTIGUOUS"]:
-            buf = arr
-        else:
-            buf = np.ascontiguousarray(arr)
-        flat = buf.reshape(-1)
-        u = flat.view(_U)
-        size = flat.size
-        per_row = size // len(rows)
-        idx, shift, lsb, acc, spec = self._scratch_for(size)
-        np.right_shift(u, _U(52), out=idx.view(_U))
-        # per-element table offset: row * 4096 (+ the word's exponent field)
-        np.add(idx, self._offsets_for(rows, per_row), out=idx)
-        self._shift_all.take(idx, out=shift)
-        # RNE transform: ((u + (half - 1) + lsb) >> s) << s, ties to even
-        np.right_shift(u, shift, out=lsb)
-        np.bitwise_and(lsb, _U(1), out=lsb)
-        self._bias_all.take(idx, out=acc)
-        np.add(acc, u, out=acc)
-        np.add(acc, lsb, out=acc)
-        np.right_shift(acc, shift, out=acc)
-        np.left_shift(acc, shift, out=acc)
-        self._special_all.take(idx, out=spec)
-        if spec.any():
-            if self._any_identity:
-                np.copyto(acc, u, where=spec == _SPECIAL_IDENTITY)
-                mask = spec == _SPECIAL_RESOLVE
-                if mask.any():
-                    self._resolve_specials(flat, acc, mask, rows, per_row)
-            else:
-                # the table holds only 0/RESOLVE entries: any special needs
-                # resolution and the IDENTITY scan can be skipped
-                self._resolve_specials(flat, acc, spec.view(np.bool_), rows, per_row)
-        flat.view(_U)[...] = acc
-        if buf is not arr:
-            # arr was not contiguous: the transform ran on a copy, so copy
-            # the rounded values back through the float view
-            arr[...] = buf
-
-    def _resolve_specials(self, flat, acc, mask, rows, per_row) -> None:
-        """Resolve masked elements through each row's format, without its
-        bit kernel.
-
-        Exact zeros — by far the most common special in solver data — left
-        the transform already rounded (see the exponent-field-0 shifts set
-        up in ``__init__``) and are skipped; the remaining special-band
-        elements — subnormal, overflow and non-finite regions — are exactly
-        the ones the row's bit kernel would hand to
-        ``round_without_kernel``, so they go there directly.
-        """
-        sel = np.flatnonzero(mask)
-        sel = sel[flat[sel] != 0.0]
-        if not sel.size:
-            return
-        # each leading index owns one contiguous block of per_row elements
-        # and ``sel`` ascends, so its elements already come grouped by row
-        lead = sel // per_row
-        bounds = (np.flatnonzero(lead[1:] != lead[:-1]) + 1).tolist()
-        for start, stop in zip([0] + bounds, bounds + [sel.size]):
-            segment = sel[start:stop]
-            fmt = self.contexts[rows[lead[start]]].format
-            acc[segment] = fmt.round_without_kernel(flat[segment]).view(_U)
+    Analytic-verification contexts (``use_tables=False``) honour their own
+    backend selection, so they get none."""
+    if not isinstance(ctx, EmulatedContext) or ctx.use_tables is False:
+        return None
+    kern = ctx.format.bitkernel()
+    if kern is None or kern.WORD_FRAC_BITS != 52:
+        return None
+    return kern
 
 
 class BatchedContext:
@@ -402,7 +208,18 @@ class BatchedContext:
         self.accumulation = contexts[0].accumulation
         self.count_ops = any(ctx.count_ops for ctx in contexts)
         self.names = tuple(ctx.name for ctx in contexts)
-        self._rounder = _RowRounder(contexts)
+        #: rounding is the identity for every row (pure native lanes)
+        self._noop = all(isinstance(ctx, NativeContext) for ctx in contexts)
+        #: one fused pass serves every row when each has a one-word kernel
+        #: (or is native); otherwise rows round through their own contexts
+        self._stacked = None
+        if not self._noop and self.dtype is np.float64:
+            kernels = [_one_word_kernel(ctx) for ctx in contexts]
+            if all(
+                k is not None or isinstance(ctx, NativeContext)
+                for k, ctx in zip(kernels, contexts)
+            ):
+                self._stacked = StackedBitKernel(kernels)
         #: deferred per-op tallies: (rows, elements-per-row) pairs folded
         #: into the row contexts' op counters at flush_op_counts()
         self._pending_tallies: list = []
@@ -433,20 +250,37 @@ class BatchedContext:
         flush at phase boundaries so ``ctx.op_count`` of each row stays
         meaningful for records and telemetry.
         """
-        if not self._pending_tallies:
+        pending = self._pending_tallies
+        if not pending:
             return
-        totals = np.zeros(self.nrows, dtype=np.int64)
-        for rows, n in self._pending_tallies:
-            np.add.at(totals, rows, n)
-        self._pending_tallies.clear()
-        for i, ctx in enumerate(self.rows):
-            if ctx.count_ops and totals[i]:
-                ctx.op_count += int(totals[i])
+        row_maps = [rows for rows, _ in pending]
+        weights = np.repeat([n for _, n in pending], [len(rows) for rows in row_maps])
+        totals = np.bincount(
+            np.concatenate(row_maps), weights=weights, minlength=self.nrows
+        ).tolist()
+        pending.clear()
+        for ctx, total in zip(self.rows, totals):
+            if ctx.count_ops and total:
+                ctx.op_count += int(total)
 
     def round(self, arr: np.ndarray, rows: np.ndarray) -> np.ndarray:
         """Round ``arr`` in place, each leading-axis slice by its row's
-        format, and return it."""
-        self._rounder.round(arr, rows)
+        format, and return it.
+
+        Rows without a one-word kernel (two-word posit64/takum64,
+        analytic-verification contexts) round through their own context's
+        ``round`` / ``round_scalar`` — slower, still bit-identical."""
+        if self._stacked is not None:
+            self._stacked.round(arr, rows)
+        elif not self._noop:
+            contexts = self.rows
+            if arr.ndim == 1:
+                for i in range(arr.shape[0]):
+                    arr[i] = contexts[rows[i]].round_scalar(arr[i])
+            else:
+                for i in range(arr.shape[0]):
+                    row = arr[i]
+                    contexts[rows[i]].round(row, out=row)
         return arr
 
     # ------------------------------------------------------------------ #

@@ -20,7 +20,11 @@ round-to-nearest-even entirely in integer arithmetic:
   transform operates on the *full* word, sign bit included: in the binades
   the LUT serves, the carry of a round-up can reach the exponent field
   (that is exactly how a binade boundary rounds up) but provably never the
-  sign bit.
+  sign bit.  This float64-word transform lives in one function,
+  :func:`_round_words`, shared by :meth:`BitKernel.round` (table index
+  ``word >> 52``) and :class:`StackedBitKernel`, which fuses the tables of
+  several formats so the batched engine rounds a stack of rows, each by
+  its own format, in one pass (table index ``row * 4096 + (word >> 52)``).
 
 * The 64-bit posit/takum formats work in 80-bit x87 extended precision
   (``numpy.longdouble``), whose 16-byte memory layout is **two** uint64
@@ -40,7 +44,9 @@ round-to-nearest-even entirely in integer arithmetic:
   the (rare) masked elements are resolved without the kernel
   (``NumberFormat.round_without_kernel``: the scalar kernel for a few
   elements, the analytic kernel for more), which keeps the fast path
-  bit-identical by construction.
+  bit-identical by construction.  Exact zeros, by far the most common
+  special in solver data, never reach the resolver: the exponent-field-0
+  entries of the tables round them in the transform itself.
   Binades where the format grid is at least as *fine* as the work grid
   (possible when a 64-bit format degrades to float64 work precision on
   hosts without extended longdouble) are marked *identity* and copied
@@ -94,7 +100,7 @@ from ..telemetry.metrics import metrics as _metrics
 #: accumulate here and the registry drains them at read time):
 #: ``(family, event) -> count`` for scratch alloc/reuse decisions
 _scratch_tally: dict[tuple[str, str], int] = {}
-#: ``(family, bits) -> [elements, lut_fallback, zero_peeled]``
+#: ``(family, bits) -> [elements, lut_fallback]``
 _round_tally: dict[tuple[str, int], list] = {}
 
 
@@ -105,17 +111,25 @@ def _flush_bitkernel_tally(discard: bool = False) -> None:
             _metrics.counter("bitkernel.scratch", family=family, event=event).inc(count)
         _scratch_tally[family, event] -= count
     for (family, bits), entry in _round_tally.items():
-        elements, lut, peeled = entry[0], entry[1], entry[2]
+        elements, lut = entry
         if not discard:
             if elements:
                 _metrics.counter("bitkernel.elements", family=family, bits=bits).inc(elements)
             if lut:
                 _metrics.counter("bitkernel.lut_fallback", family=family, bits=bits).inc(lut)
-            if peeled:
-                _metrics.counter("bitkernel.zero_peeled", family=family, bits=bits).inc(peeled)
         entry[0] -= elements
         entry[1] -= lut
-        entry[2] -= peeled
+
+
+def _tally_round(family: str, bits: int, elements: int, resolved: int) -> None:
+    """Count one kernel call's elements and fallback-resolved elements
+    (caller checks ``_telemetry.ENABLED``); the LUT fallback fraction is
+    ``lut_fallback / elements`` per family."""
+    entry = _round_tally.get((family, bits))
+    if entry is None:
+        entry = _round_tally[family, bits] = [0, 0]
+    entry[0] += elements
+    entry[1] += resolved
 
 
 _metrics.register_flusher(_flush_bitkernel_tally)
@@ -129,6 +143,7 @@ __all__ = [
     "ExtendedBitKernel",
     "PositExtendedBitKernel",
     "TakumExtendedBitKernel",
+    "StackedBitKernel",
     "extended_layout_supported",
     "set_enabled",
     "bitkernels_enabled",
@@ -145,8 +160,6 @@ _EXT_TOP = _U(1 << 63)
 _SPECIAL_RESOLVE = 1
 _SPECIAL_IDENTITY = 2
 
-#: scratch sets cached per kernel (bounded; see BitKernel._scratch_for)
-_MAX_SCRATCH_SIZES = 8
 #: calls larger than this allocate fresh scratch instead of pinning ~33
 #: bytes/element in the cache (the solvers' arrays are far below this; the
 #: 64k benchmark arrays still fit)
@@ -191,6 +204,78 @@ def extended_layout_supported() -> bool:
     )
 
 
+def _scratch_for(kern, size: int) -> tuple:
+    """The per-size scratch set of ``kern`` (built by its ``_new_scratch``),
+    cached up to ``kern._MAX_SCRATCH_SIZES`` sizes."""
+    cache = kern._scratch
+    bufs = cache.get(size)
+    if bufs is None:
+        bufs = kern._new_scratch(size)
+        if size <= _MAX_SCRATCH_ELEMENTS:  # don't pin memory for huge calls
+            if len(cache) >= kern._MAX_SCRATCH_SIZES:
+                cache.clear()
+            cache[size] = bufs
+        event = "alloc"
+    else:
+        event = "reuse"
+    if _telemetry.ENABLED:
+        key = (kern.family, event)
+        _scratch_tally[key] = _scratch_tally.get(key, 0) + 1
+    return bufs
+
+
+def _new_word_scratch(size: int) -> tuple:
+    return (
+        np.empty(size, dtype=_U),  # table index
+        np.empty(size, dtype=_U),  # per-element shift
+        np.empty(size, dtype=_U),  # lsb / scratch
+        np.empty(size, dtype=_U),  # accumulator (rounded word)
+        np.empty(size, dtype=np.uint8),  # special code
+    )
+
+
+_NO_SPECIALS = np.empty(0, dtype=np.intp)
+
+
+def _round_words(kern, u: np.ndarray, idx: np.ndarray, bufs: tuple):
+    """The float64-word RNE transform of every one-word kernel.
+
+    Rounds the uint64 words ``u`` through the tables of ``kern``
+    (``_shift``, ``_bias``, ``_special``, ``_has_identity``) at the
+    per-element table indices ``idx`` (int64), into the accumulator of the
+    scratch set ``bufs`` (a :func:`_new_word_scratch` set whose index
+    buffer holds ``idx``).  Identity binades copy their input word through.
+
+    Returns ``(acc, sel)``: the rounded words and the ascending indices of
+    the nonzero special elements, which the caller resolves without the
+    kernel.  Exact zeros are special too, but their exponent-field-0 shift
+    already rounded them, so they are not returned.
+    """
+    _, shift, lsb, acc, spec = bufs
+    # ndarray.take (not np.take: the dispatch wrapper is measurable at
+    # solver-call sizes)
+    kern._shift.take(idx, out=shift)
+    # RNE: ((u + (half - 1) + lsb) >> s) << s, ties to the even word
+    np.right_shift(u, shift, out=lsb)
+    np.bitwise_and(lsb, _ONE, out=lsb)
+    kern._bias.take(idx, out=acc)
+    np.add(acc, u, out=acc)
+    np.add(acc, lsb, out=acc)
+    np.right_shift(acc, shift, out=acc)
+    np.left_shift(acc, shift, out=acc)
+    kern._special.take(idx, out=spec)
+    if not spec.any():
+        return acc, _NO_SPECIALS
+    if kern._has_identity:
+        # identity binades (format grid at least as fine as the work grid):
+        # the input word passes through unchanged
+        np.copyto(acc, u, where=spec == _SPECIAL_IDENTITY)
+        sel = np.flatnonzero(spec == _SPECIAL_RESOLVE)
+    else:
+        sel = np.flatnonzero(spec)
+    return acc, sel[u[sel].view(np.float64) != 0.0]
+
+
 class BitKernel:
     """Family-parameterized integer round/encode/decode kernel.
 
@@ -226,6 +311,9 @@ class BitKernel:
     #: kernel's word layout (the extended kernels have none: the 64-bit
     #: formats keep their per-element codecs)
     supports_codec = True
+    #: scratch sets cached per kernel (bounded; see :func:`_scratch_for`)
+    _MAX_SCRATCH_SIZES = 8
+    _new_scratch = staticmethod(_new_word_scratch)
 
     def __init__(self, bits: int, resolve: Callable[[np.ndarray], np.ndarray]):
         self.bits = int(bits)
@@ -261,6 +349,11 @@ class BitKernel:
                     s = frac_bits - keep
                     shift[idx] = s
                     bias[idx] = (1 << (s - 1)) - 1
+        # exact zeros (exponent field 0, either sign) leave the one-word
+        # transform already rounded: shifting out all 64 bits gives the
+        # single unsigned zero, 63 keeps the sign of zero.  The subnormals
+        # sharing the field stay special and resolve.
+        shift[0] = shift[exp_fields] = 64 if self.unsigned_zero else 63
         self._shift = shift
         self._bias = bias
         self._special = special
@@ -288,28 +381,6 @@ class BitKernel:
     # ------------------------------------------------------------------ #
     # rounding
     # ------------------------------------------------------------------ #
-    def _scratch_for(self, size: int) -> tuple:
-        bufs = self._scratch.get(size)
-        if bufs is None:
-            bufs = (
-                np.empty(size, dtype=_U),  # exponent-field index
-                np.empty(size, dtype=_U),  # per-element shift
-                np.empty(size, dtype=_U),  # lsb / scratch
-                np.empty(size, dtype=_U),  # accumulator (rounded word)
-                np.empty(size, dtype=np.uint8),  # special mask
-            )
-            if size <= _MAX_SCRATCH_ELEMENTS:  # don't pin memory for huge calls
-                if len(self._scratch) >= _MAX_SCRATCH_SIZES:
-                    self._scratch.clear()
-                self._scratch[size] = bufs
-            if _telemetry.ENABLED:
-                key = (self.family, "alloc")
-                _scratch_tally[key] = _scratch_tally.get(key, 0) + 1
-        elif _telemetry.ENABLED:
-            key = (self.family, "reuse")
-            _scratch_tally[key] = _scratch_tally.get(key, 0) + 1
-        return bufs
-
     def round(self, values: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
         """Round float64 ``values`` to the format, bit-identical to the
         analytic kernel.
@@ -331,62 +402,15 @@ class BitKernel:
         x = np.asarray(values, dtype=np.float64)
         flat = x.ravel()  # view when contiguous, copy otherwise
         u = flat.view(_U)
-        idx, shift, lsb, acc, spec = self._scratch_for(flat.size)
+        bufs = _scratch_for(self, flat.size)
+        idx = bufs[0]
         np.right_shift(u, _U(52), out=idx)
-        idx_i = idx.view(np.int64)  # free reinterpret; values are < 4096
-        # ndarray.take (not np.take: the dispatch wrapper is measurable at
-        # solver-call sizes)
-        self._shift.take(idx_i, out=shift)
-        # RNE: ((u + (half - 1) + lsb) >> s) << s, ties to the even word
-        np.right_shift(u, shift, out=lsb)
-        np.bitwise_and(lsb, _ONE, out=lsb)
-        self._bias.take(idx_i, out=acc)
-        np.add(acc, u, out=acc)
-        np.add(acc, lsb, out=acc)
-        np.right_shift(acc, shift, out=acc)
-        np.left_shift(acc, shift, out=acc)
-        self._special.take(idx_i, out=spec)
-        resolved = peeled = 0
-        if spec.any():
-            if self._has_identity:
-                # identity binades (format grid at least as fine as the
-                # work grid): the input word passes through unchanged
-                np.copyto(acc, u, where=spec == _SPECIAL_IDENTITY)
-                mask = spec == _SPECIAL_RESOLVE
-                need_resolve = bool(mask.any())
-            else:
-                mask = spec.view(bool)
-                need_resolve = True
-        else:
-            need_resolve = False
-        if need_resolve:
-            sub = flat[mask]
-            nonzero = sub != 0.0
-            if nonzero.all():
-                acc[mask] = self._resolve(sub).view(_U)
-                resolved = sub.size
-            else:
-                # exact zeros are by far the most common "special" in solver
-                # data (structurally zero matrix entries); peel them off
-                # inline instead of paying an analytic-kernel call
-                res = u[mask]
-                if self.unsigned_zero:
-                    res = res & np.where(nonzero, _U(0xFFFFFFFFFFFFFFFF), _U(0))
-                if nonzero.any():
-                    nz = sub[nonzero]
-                    res[nonzero] = self._resolve(nz).view(_U)
-                    resolved = nz.size
-                peeled = sub.size - resolved
-                acc[mask] = res
+        # the int64 view is a free reinterpret: the indices are < 4096
+        acc, sel = _round_words(self, u, idx.view(np.int64), bufs)
+        if sel.size:
+            acc[sel] = self._resolve(flat[sel]).view(_U)
         if _telemetry.ENABLED:
-            # LUT fallback fraction = lut_fallback / elements per family
-            key = (self.family, self.bits)
-            entry = _round_tally.get(key)
-            if entry is None:
-                entry = _round_tally[key] = [0, 0, 0]
-            entry[0] += flat.size
-            entry[1] += resolved
-            entry[2] += peeled
+            _tally_round(self.family, self.bits, flat.size, sel.size)
         if out is None:
             out = np.empty(x.shape, dtype=np.float64)
         # copyto handles non-contiguous out (e.g. a column view being
@@ -802,30 +826,28 @@ class ExtendedBitKernel(BitKernel):
             "per-element encode"
         )
 
-    def _scratch_for(self, size: int) -> tuple:
-        bufs = self._scratch.get(size)
-        if bufs is None:
-            bufs = (
-                np.empty(size, dtype=_U),  # masked exponent word / LUT index
-                np.empty(size, dtype=_U),  # per-element shift
-                np.empty(size, dtype=_U),  # lsb / scratch
-                np.empty(size, dtype=_U),  # significand accumulator
-                np.empty(size, dtype=_U),  # exponent-word accumulator
-                np.empty(size, dtype=bool),  # significand carry-out
-                np.empty(size, dtype=np.uint8),  # special mask
-                np.empty(2 * size, dtype=_U),  # interleaved output words
-            )
-            if size <= _MAX_SCRATCH_ELEMENTS:  # don't pin memory for huge calls
-                if len(self._scratch) >= _MAX_SCRATCH_SIZES:
-                    self._scratch.clear()
-                self._scratch[size] = bufs
-            if _telemetry.ENABLED:
-                key = (self.family, "alloc")
-                _scratch_tally[key] = _scratch_tally.get(key, 0) + 1
-        elif _telemetry.ENABLED:
-            key = (self.family, "reuse")
-            _scratch_tally[key] = _scratch_tally.get(key, 0) + 1
-        return bufs
+    def __init__(self, *args):
+        super().__init__(*args)
+        # output sign/exponent word per input one: the word itself, except
+        # that -0.0 rounds to +0.0 in unsigned-zero formats (the zero
+        # significand word rounds to 0 under any shift)
+        exp_word = np.arange(len(self._shift), dtype=_U)
+        if self.unsigned_zero:
+            exp_word[len(exp_word) // 2] = 0
+        self._exp_word = exp_word
+
+    @staticmethod
+    def _new_scratch(size: int) -> tuple:
+        return (
+            np.empty(size, dtype=_U),  # masked exponent word / LUT index
+            np.empty(size, dtype=_U),  # per-element shift
+            np.empty(size, dtype=_U),  # lsb / scratch
+            np.empty(size, dtype=_U),  # significand accumulator
+            np.empty(size, dtype=_U),  # exponent-word accumulator
+            np.empty(size, dtype=bool),  # significand carry-out
+            np.empty(size, dtype=np.uint8),  # special code
+            np.empty(2 * size, dtype=_U),  # interleaved output words
+        )
 
     def round(self, values: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
         """Round longdouble ``values`` to the format, bit-identical to the
@@ -836,7 +858,7 @@ class ExtendedBitKernel(BitKernel):
         u = flat.view(_U)  # [sig0, exp0, sig1, exp1, ...] (little-endian)
         lo = u[0::2]
         hi = u[1::2]
-        idx, shift, lsb, acc, hexp, wrap, spec, pair = self._scratch_for(flat.size)
+        idx, shift, lsb, acc, hexp, wrap, spec, pair = _scratch_for(self, flat.size)
         np.bitwise_and(hi, self._HI_MASK, out=idx)  # drop the padding bytes
         idx_i = idx.view(np.int64)  # free reinterpret; values are < 65536
         self._shift.take(idx_i, out=shift)
@@ -849,44 +871,20 @@ class ExtendedBitKernel(BitKernel):
         np.less(acc, lo, out=wrap)  # uint64 wrap == carry out of the binade
         np.right_shift(acc, shift, out=acc)
         np.left_shift(acc, shift, out=acc)
-        np.add(idx, wrap, out=hexp)  # exponent + 1 on carry
+        self._exp_word.take(idx_i, out=hexp)
+        np.add(hexp, wrap, out=hexp)  # exponent + 1 on carry
         np.copyto(acc, _EXT_TOP, where=wrap)  # significand 1.0 next binade up
         self._special.take(idx_i, out=spec)
-        resolved = peeled = 0
+        sel = _NO_SPECIALS
         if spec.any():
-            mask = spec.view(bool)
-            sub = flat[mask]
-            nonzero = sub != 0.0
-            if nonzero.all():
-                rw = np.ascontiguousarray(self._resolve(sub)).view(_U)
-                acc[mask] = rw[0::2]
-                hexp[mask] = rw[1::2] & self._HI_MASK
-                resolved = sub.size
-            else:
-                # exact zeros are by far the most common "special" in solver
-                # data; peel them off inline instead of paying an
-                # analytic-kernel call
-                rlo = lo[mask]
-                rhi = idx[mask]
-                if self.unsigned_zero:
-                    rhi[~nonzero] = _U(0)  # -0.0 rounds to +0.0
-                if nonzero.any():
-                    nz = sub[nonzero]
-                    rw = np.ascontiguousarray(self._resolve(nz)).view(_U)
-                    rlo[nonzero] = rw[0::2]
-                    rhi[nonzero] = rw[1::2] & self._HI_MASK
-                    resolved = nz.size
-                peeled = sub.size - resolved
-                acc[mask] = rlo
-                hexp[mask] = rhi
+            sel = np.flatnonzero(spec)
+            sel = sel[flat[sel] != 0.0]  # exact zeros are already rounded
+            if sel.size:
+                rw = np.ascontiguousarray(self._resolve(flat[sel])).view(_U)
+                acc[sel] = rw[0::2]
+                hexp[sel] = rw[1::2] & self._HI_MASK
         if _telemetry.ENABLED:
-            key = (self.family, self.bits)
-            entry = _round_tally.get(key)
-            if entry is None:
-                entry = _round_tally[key] = [0, 0, 0]
-            entry[0] += flat.size
-            entry[1] += resolved
-            entry[2] += peeled
+            _tally_round(self.family, self.bits, flat.size, sel.size)
         # reassemble into canonical 16-byte slots: the padding bytes of
         # every output word are written as zeros (the input padding is
         # unspecified memory and must not leak into results)
@@ -904,3 +902,91 @@ class PositExtendedBitKernel(ExtendedBitKernel, PositBitKernel):
 
 class TakumExtendedBitKernel(ExtendedBitKernel, TakumBitKernel):
     """Takum kernel on the extended two-word layout (serves takum64)."""
+
+
+class StackedBitKernel:
+    """The one-word kernels of a stack of formats, fused into one pass.
+
+    Rounds a stacked float64 array whose leading axis is the format axis,
+    each leading-axis slice by its own row's format.  The per-row
+    4096-entry tables are concatenated, so row ``r``'s table starts at
+    ``r * 4096`` and one :func:`_round_words` pass over the table indices
+    ``row * 4096 + (word >> 52)`` rounds the whole stack; the special
+    elements resolve row by row through each row kernel's resolver
+    (``NumberFormat.round_without_kernel``).
+
+    Parameters
+    ----------
+    kernels:
+        One entry per row: the row format's one-word :class:`BitKernel`,
+        or ``None`` for a native float64 row, whose rounding is the
+        identity.
+    """
+
+    family = "stacked"
+    #: the word the transform runs on (the rows' formats are mixed)
+    bits = 64
+    #: a lockstep sweep rounds many sub-batch shapes in turn
+    _MAX_SCRATCH_SIZES = 32
+    _new_scratch = staticmethod(_new_word_scratch)
+    #: table entries per row (sign + 11-bit exponent field)
+    _TABLE = 1 << 12
+
+    def __init__(self, kernels):
+        self.kernels = list(kernels)
+        T = self._TABLE
+        nrows = len(self.kernels)
+        self._shift = np.ones(nrows * T, dtype=_U)
+        self._bias = np.zeros(nrows * T, dtype=_U)
+        self._special = np.full(nrows * T, _SPECIAL_IDENTITY, dtype=np.uint8)
+        for i, kern in enumerate(self.kernels):
+            if kern is None:
+                continue
+            if len(kern._shift) != T:
+                raise ValueError(f"{kern!r} is not a one-word kernel")
+            self._shift[i * T : (i + 1) * T] = kern._shift
+            self._bias[i * T : (i + 1) * T] = kern._bias
+            self._special[i * T : (i + 1) * T] = kern._special
+        self._has_identity = any(k is None or k._has_identity for k in self.kernels)
+        self._scratch: dict[int, tuple] = {}
+        #: (row map bytes, elements per row) -> flat table offsets; a sweep
+        #: rounds the same few sub-batches thousands of times
+        self._offsets: dict[tuple, np.ndarray] = {}
+
+    def _offsets_for(self, rows: np.ndarray, per_row: int) -> np.ndarray:
+        key = (rows.tobytes(), per_row)
+        offsets = self._offsets.get(key)
+        if offsets is None:
+            offsets = (rows * self._TABLE).repeat(per_row)
+            if len(self._offsets) < 256:
+                self._offsets[key] = offsets
+        return offsets
+
+    def round(self, arr: np.ndarray, rows: np.ndarray) -> None:
+        """Round the stacked float64 array ``arr`` in place, ``arr[i]`` by
+        the format of row ``rows[i]``."""
+        buf = arr if arr.flags.c_contiguous else np.ascontiguousarray(arr)
+        u = buf.reshape(-1).view(_U)
+        rows = np.asarray(rows, dtype=np.int64)
+        per_row = u.size // len(rows)
+        bufs = _scratch_for(self, u.size)
+        idx = bufs[0]
+        np.right_shift(u, _U(52), out=idx)
+        idx_i = idx.view(np.int64)
+        np.add(idx_i, self._offsets_for(rows, per_row), out=idx_i)
+        acc, sel = _round_words(self, u, idx_i, bufs)
+        if sel.size:
+            flat = u.view(np.float64)
+            # each leading index owns one contiguous block of elements and
+            # ``sel`` ascends, so its elements already come grouped by row
+            lead = sel // per_row
+            bounds = (np.flatnonzero(lead[1:] != lead[:-1]) + 1).tolist()
+            for start, stop in zip([0] + bounds, bounds + [sel.size]):
+                segment = sel[start:stop]
+                resolve = self.kernels[rows[lead[start]]]._resolve
+                acc[segment] = resolve(flat[segment]).view(_U)
+        if _telemetry.ENABLED:
+            _tally_round(self.family, self.bits, u.size, sel.size)
+        u[...] = acc
+        if buf is not arr:
+            arr[...] = buf  # the transform ran on a contiguous copy

@@ -24,8 +24,6 @@ __all__ = [
     "apply_reflector_left",
     "apply_reflector_right",
     "givens_rotation",
-    "apply_givens_left",
-    "apply_givens_right",
 ]
 
 
@@ -110,27 +108,3 @@ def givens_rotation(ctx, a, b):
     c = a / r
     s = b / r
     return c.value, s.value, r.value
-
-
-def apply_givens_left(ctx, c, s, A, i, j):
-    """Rotate rows ``i`` and ``j`` of ``A`` in place-semantics (returns copy)."""
-    A = ctx.wrap(np.array(A, dtype=ctx.dtype, copy=True))
-    c = ctx.wrap_scalar(c)
-    s = ctx.wrap_scalar(s)
-    row_i = A[i, :].copy()
-    row_j = A[j, :].copy()
-    A[i, :] = c * row_i + s * row_j
-    A[j, :] = c * row_j - s * row_i
-    return A.data
-
-
-def apply_givens_right(ctx, c, s, A, i, j):
-    """Rotate columns ``i`` and ``j`` of ``A`` (returns a new array)."""
-    A = ctx.wrap(np.array(A, dtype=ctx.dtype, copy=True))
-    c = ctx.wrap_scalar(c)
-    s = ctx.wrap_scalar(s)
-    col_i = A[:, i].copy()
-    col_j = A[:, j].copy()
-    A[:, i] = c * col_i + s * col_j
-    A[:, j] = c * col_j - s * col_i
-    return A.data

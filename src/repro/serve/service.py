@@ -394,21 +394,33 @@ class SpectralService:
         future = self.coalescer.begin(key)
         try:
             solve = self.bridge.submit(tm, format_name, config)
-        except PoolSaturatedError as exc:
-            self.coalescer.finish(key, result=None)  # no joiner can exist yet
-            retry_after = self.bridge.retry_after()
-            if _telemetry.ENABLED:
-                _metrics.counter("serve.rejected", reason="saturated").inc()
-            raise HTTPError(
-                503,
-                f"solver pool saturated ({exc.depth}/{exc.capacity} in flight); retry later",
-                headers={"Retry-After": str(retry_after)},
-            ) from None
+        except Exception as exc:
+            raise self._reject_submit(exc, [key]) from None
 
         status, body = await self._lead_solve(key, solve, future)
         return Response.raw_json(
             body, status=status, headers={"X-Repro-Source": "computed", "X-Repro-Key": key}
         )
+
+    def _reject_submit(self, exc: Exception, keys: list[str]) -> HTTPError:
+        """Release the cold ``keys`` after a failed pool submit; returns the
+        503 to raise.
+
+        Saturation and any other submit error alike: each key leaves the
+        coalescer with a 503 outcome, so no later request for the cell
+        awaits a future that never resolves.
+        """
+        if isinstance(exc, PoolSaturatedError):
+            reason = "saturated"
+            message = f"solver pool saturated ({exc.depth}/{exc.capacity} in flight); retry later"
+        else:
+            reason = "error"
+            message = f"solver pool unavailable: {type(exc).__name__}: {exc}"
+        for key in keys:
+            self.coalescer.finish(key, result=(503, _error_body(message)))
+        if _telemetry.ENABLED:
+            _metrics.counter("serve.rejected", reason=reason).inc()
+        return HTTPError(503, message, headers={"Retry-After": str(self.bridge.retry_after())})
 
     async def _lead_solve(self, key: str, solve: asyncio.Future, future) -> tuple[int, bytes]:
         """Await the bridge solve and resolve every joiner with the outcome.
@@ -514,18 +526,8 @@ class SpectralService:
                 self.coalescer.begin(key)
             try:
                 solve = self.bridge.submit_batch(tm, [f for f, _ in cold], config)
-            except PoolSaturatedError as exc:
-                for _, key in cold:
-                    self.coalescer.finish(key, result=None)  # no joiner yet
-                retry_after = self.bridge.retry_after()
-                if _telemetry.ENABLED:
-                    _metrics.counter("serve.rejected", reason="saturated").inc()
-                raise HTTPError(
-                    503,
-                    f"solver pool saturated ({exc.depth}/{exc.capacity} in flight); "
-                    "retry later",
-                    headers={"Retry-After": str(retry_after)},
-                ) from None
+            except Exception as exc:
+                raise self._reject_submit(exc, [key for _, key in cold]) from None
             outcomes.update(await self._lead_batch(cold, solve))
 
         if joined:

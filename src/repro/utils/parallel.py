@@ -273,12 +273,14 @@ class BoundedPool:
         self.workers = workers
         self.queue_limit = max(0, queue_limit)
         self.kind = kind
-        if kind == "process":
-            self._executor = concurrent.futures.ProcessPoolExecutor(max_workers=workers)
-        else:
-            self._executor = concurrent.futures.ThreadPoolExecutor(max_workers=workers)
+        self._executor = self._new_executor()
         self._lock = threading.Lock()
         self._inflight = 0
+
+    def _new_executor(self) -> concurrent.futures.Executor:
+        if self.kind == "process":
+            return concurrent.futures.ProcessPoolExecutor(max_workers=self.workers)
+        return concurrent.futures.ThreadPoolExecutor(max_workers=self.workers)
 
     @property
     def capacity(self) -> int:
@@ -298,13 +300,31 @@ class BoundedPool:
                 raise PoolSaturatedError(self._inflight, self.capacity)
             self._inflight += 1
         try:
-            future = self._executor.submit(fn, *args)
+            executor = self._executor
+            try:
+                future = executor.submit(fn, *args)
+            except concurrent.futures.BrokenExecutor:
+                # a worker died (OOM kill, segfault): the executor refuses
+                # all further work, so replace it and retry once
+                self._replace(executor)
+                future = self._executor.submit(fn, *args)
         except BaseException:
             with self._lock:
                 self._inflight -= 1
             raise
         future.add_done_callback(self._release)
         return future
+
+    def _replace(self, broken: concurrent.futures.Executor) -> None:
+        """Swap in a fresh executor for ``broken`` (once, if several
+        submitters saw it break)."""
+        with self._lock:
+            if self._executor is not broken:
+                return
+            self._executor = self._new_executor()
+        broken.shutdown(wait=False)
+        if _telemetry.ENABLED:
+            _metrics.counter("parallel.pool_restarts").inc()
 
     def _release(self, _future: concurrent.futures.Future) -> None:
         with self._lock:

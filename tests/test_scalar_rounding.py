@@ -21,6 +21,7 @@ import pytest
 
 from repro.arithmetic import available_formats, get_context, get_format
 from repro.arithmetic.base import NumberFormat
+from repro.arithmetic.batched import BatchedContext
 from repro.arithmetic.context import EmulatedContext
 from repro.arithmetic.ofp8 import OFP8E4M3
 from tests._kernel_harness import (
@@ -128,7 +129,8 @@ class TestRoundArrayDispatch:
         and underflowing magnitudes: the context's scalar path, the
         dispatch at sizes 1, ``scalar_cutoff`` and ``scalar_cutoff + 1``
         (scalar kernel and bit kernel, with the special value filling the
-        array or alone among ones), and the analytic ground truth."""
+        array or alone among ones), the batched stacked rounder, and the
+        analytic ground truth."""
         fmt = OFP8E4M3(saturate=True) if name == "E4M3sat" else get_format(name)
         ctx = EmulatedContext(fmt)
         values = specials_battery(fmt)
@@ -146,6 +148,19 @@ class TestRoundArrayDispatch:
                 alone[i] = fmt.round_array(among_ones)[-1]
             for got in (filled, alone):
                 assert_rounded_equal(got, expected, f"{name} round_array n={size}", words=True)
+        if wd is np.float64:
+            # the batched engine: a stack with a native float64 row, rows
+            # repeated and out of order, rounds each row by its own format
+            native = get_context("float64")
+            bctx = BatchedContext([native, ctx])
+            kern = fmt.bitkernel()
+            if kern is not None and kern.WORD_FRAC_BITS == 52:
+                assert bctx._stacked is not None, name  # one fused pass
+            stacked = np.stack([values, values, values])
+            bctx.round(stacked, np.asarray([1, 0, 1]))
+            for got in (stacked[0], stacked[2]):
+                assert_rounded_equal(got, expected, f"{name} stacked", words=True)
+            assert_rounded_equal(stacked[1], values, "float64 row stacked", words=True)
 
     def test_round_scalar_matches_round_array(self, any_kernel_format):
         fmt = any_kernel_format

@@ -352,6 +352,46 @@ def test_saturated_pool_rejects_with_retry_after():
     assert service.coalescer.depth == 0  # nothing left in flight
 
 
+def test_failed_submit_releases_the_cell():
+    """A submit error other than saturation releases the coalescer entry
+    too: each later request for the cell gets its own 503 instead of
+    joining a future that never resolves."""
+    suite = _suite(seed=11)
+    store = ResultStore(backend=DictBackend())
+    service = SpectralService(
+        store, suite, formats=[FMT], config=_config(), pool_kind="thread", preload=False
+    )
+
+    def broken_submit(*args):
+        raise RuntimeError("pool is gone")
+
+    service.bridge.submit = broken_submit
+    service.bridge.submit_batch = broken_submit
+    requests = [
+        _cell_request(suite[0].name, FMT),
+        _cell_request(suite[0].name, FMT),
+        _cells_request(suite[0].name, [FMT]),
+        _cell_request(suite[0].name, FMT),
+    ]
+
+    async def scenario():
+        errors = []
+        for request in requests:
+            with pytest.raises(HTTPError) as excinfo:
+                await asyncio.wait_for(service.handle_request(request), timeout=30)
+            errors.append(excinfo.value)
+        return errors
+
+    try:
+        errors = asyncio.run(scenario())
+    finally:
+        service.bridge.shutdown()
+    assert [e.status for e in errors] == [503] * len(requests)
+    assert all("RuntimeError: pool is gone" in str(e) for e in errors)
+    assert service.coalescer.depth == 0
+    assert metrics.value("serve.rejected", reason="error") == len(requests)
+
+
 # --------------------------------------------------------------------- #
 # blocking client
 

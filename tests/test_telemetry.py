@@ -17,6 +17,8 @@ import numpy as np
 import pytest
 
 from repro.arithmetic import get_context
+from repro.arithmetic.batched import BatchedContext
+from repro.arithmetic.bitkernels import bitkernels_enabled
 from repro.telemetry import (
     MetricsRegistry,
     TelemetryReport,
@@ -344,6 +346,21 @@ def test_dispatch_counters_record_format_and_path(telemetry_on):
         key.startswith("rounding.dispatch{") and "format=bfloat16" in key
         for key in snapshot
     )
+
+
+@pytest.mark.skipif(
+    not bitkernels_enabled(),
+    reason="bit kernels globally disabled (REPRO_DISABLE_BITKERNELS)",
+)
+def test_stacked_pass_counts_bitkernel_elements(telemetry_on):
+    """The batched engine's fused pass counts like a bit kernel; its exact
+    zeros are rounded by the transform, not by the fallback."""
+    bctx = BatchedContext.from_formats(["posit8", "bfloat16"])
+    stack = np.array([[1.3, 0.0, 1e-300, 2.0], [0.1, -0.0, 1e300, 3.0]])
+    bctx.round(stack, bctx.all_rows)
+    assert metrics.value("bitkernel.elements", family="stacked", bits=64) == 8
+    # posit8's extreme regime (1e-300) and bfloat16's overflow (1e300)
+    assert metrics.value("bitkernel.lut_fallback", family="stacked", bits=64) == 2
 
 
 def test_enabled_flag_round_trip():

@@ -1,14 +1,23 @@
-"""Tests of the utility helpers (parallel map, text rendering)."""
+"""Tests of the utility helpers (parallel map, bounded pool, text rendering)."""
 
 import math
+import os
+import signal
+from concurrent.futures.process import BrokenProcessPool
 
 import pytest
 
+from repro.telemetry import metrics, set_enabled
 from repro.utils import ParallelTaskError, ascii_plot, format_table, parallel_map
+from repro.utils.parallel import BoundedPool
 
 
 def _square(x):
     return x * x
+
+
+def _kill_own_worker():
+    os.kill(os.getpid(), signal.SIGKILL)
 
 
 def _square_or_boom(x):
@@ -32,6 +41,26 @@ class TestParallelMap:
 
     def test_single_item_runs_serially(self):
         assert parallel_map(_square, [5], workers=8) == [25]
+
+
+class TestBoundedPool:
+    def test_broken_process_pool_respawns(self):
+        """A SIGKILLed worker breaks the executor; the next submit replaces
+        it, retries once and counts the restart."""
+        previous = set_enabled(True)
+        metrics.reset()
+        pool = BoundedPool(workers=1, queue_limit=1, kind="process")
+        try:
+            with pytest.raises(BrokenProcessPool):
+                pool.submit(_kill_own_worker).result(timeout=60)
+            assert pool.submit(_square, 7).result(timeout=60) == 49
+            assert pool.submit(_square, 8).result(timeout=60) == 64
+            assert metrics.value("parallel.pool_restarts") == 1
+            assert pool.depth == 0
+        finally:
+            pool.shutdown()
+            metrics.reset()
+            set_enabled(previous)
 
 
 class TestParallelMapExceptionCapture:
